@@ -1,13 +1,14 @@
 // Command clue-serve runs the CLUE forwarding engine as a concurrent
 // HTTP service: lock-free RCU snapshot lookups dispatched to partition
 // workers, with live announce/withdraw batching through the incremental
-// update pipeline and per-batch TTF accounting.
+// ONRTC updater and per-update TTF accounting (the paper's cost model
+// over each compressed-table diff; no TCAM chips are simulated).
 //
 // Usage:
 //
 //	clue-serve [-addr 127.0.0.1:8080] [-fib table.rib | -router rrc01 | -routes 20000]
-//	           [-workers 4] [-queue 256] [-batch 64] [-cache 1024]
-//	           [-tcams 4] [-buckets 32] [-router-scale 10] [-seed 42]
+//	           [-workers 4] [-queue 256] [-batch 64]
+//	           [-router-scale 10] [-seed 42]
 //	           [-rebalance-interval 0] [-rebalance-threshold 1.25]
 //	           [-rebalance-max-move 0.25]
 //	clue-serve -follow 127.0.0.1:9090 [-addr ...] [-workers ...] ...
@@ -73,7 +74,7 @@ import (
 	"clue/internal/ip"
 	"clue/internal/ribio"
 	"clue/internal/serve"
-	"clue/internal/update"
+	"clue/internal/ttf"
 )
 
 func main() {
@@ -95,12 +96,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 	routerScale := fs.Int("router-scale", 10, "divide the router profile size by this factor")
 	nRoutes := fs.Int("routes", 20000, "synthetic FIB size (when -fib/-router unset)")
 	seed := fs.Int64("seed", 42, "synthetic FIB seed")
-	workers := fs.Int("workers", 0, "partition worker goroutines (0 = TCAM count)")
+	workers := fs.Int("workers", 0, "partition worker goroutines (0 = default 4)")
 	queue := fs.Int("queue", 256, "per-worker queue depth")
 	batch := fs.Int("batch", 64, "max update ops per snapshot swap")
-	cache := fs.Int("cache", 1024, "per-worker DRed-analog cache size")
-	tcams := fs.Int("tcams", 4, "TCAM chip count in the underlying system")
-	buckets := fs.Int("buckets", 32, "range partition count in the underlying system")
 	debugTrace := fs.Bool("debug-trace", false, "enable the /debug/trace runtime-trace capture endpoint")
 	follow := fs.String("follow", "", "run as a read-only replica of the clue-collector feed at this address")
 	rebInterval := fs.Duration("rebalance-interval", 0, "load-aware repartitioning pass interval (0 disables the loop; /admin/rebalance still works)")
@@ -114,13 +112,11 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		Workers:    *workers,
 		QueueDepth: *queue,
 		BatchMax:   *batch,
-		CacheSize:  *cache,
 		Rebalance: serve.RebalanceConfig{
 			Interval:           *rebInterval,
 			ImbalanceThreshold: *rebThreshold,
 			MaxMoveFraction:    *rebMaxMove,
 		},
-		System: serve.SystemConfig{TCAMs: *tcams, Buckets: *buckets},
 	}
 	var (
 		rt      *serve.Runtime
@@ -296,7 +292,6 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 			Home     int    `json:"home,omitempty"`
 			Worker   int    `json:"worker,omitempty"`
 			Diverted bool   `json:"diverted,omitempty"`
-			CacheHit bool   `json:"cache_hit,omitempty"`
 			Version  uint64 `json:"snapshot_version"`
 		}
 		resp := lookupResp{Addr: a.String()}
@@ -315,7 +310,7 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 				return
 			}
 			resp.NextHop, resp.Found, resp.Version = uint32(res.Hop), res.Found, res.Version
-			resp.Home, resp.Worker, resp.Diverted, resp.CacheHit = res.Home, res.Worker, res.Diverted, res.CacheHit
+			resp.Home, resp.Worker, resp.Diverted = res.Home, res.Worker, res.Diverted
 			if res.Found {
 				resp.Prefix = res.Prefix.String()
 			}
@@ -356,7 +351,6 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 			Found    bool   `json:"found"`
 			Worker   int    `json:"worker,omitempty"`
 			Diverted bool   `json:"diverted,omitempty"`
-			CacheHit bool   `json:"cache_hit,omitempty"`
 		}
 		type batchResp struct {
 			Count   int         `json:"count"`
@@ -386,7 +380,7 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 			for i, res := range results {
 				item := batchItem{
 					Addr: addrs[i].String(), NextHop: uint32(res.Hop), Found: res.Found,
-					Worker: res.Worker, Diverted: res.Diverted, CacheHit: res.CacheHit,
+					Worker: res.Worker, Diverted: res.Diverted,
 				}
 				if res.Found {
 					item.Prefix = res.Prefix.String()
@@ -409,7 +403,7 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 		TTFDRed  float64 `json:"ttf_dred_ns"`
 		TTFTotal float64 `json:"ttf_total_ns"`
 	}
-	applyUpdate := func(w http.ResponseWriter, r *http.Request, apply func(ip.Prefix, ip.NextHop) (update.TTF, error), needHop bool) {
+	applyUpdate := func(w http.ResponseWriter, r *http.Request, apply func(ip.Prefix, ip.NextHop) (ttf.TTF, error), needHop bool) {
 		var req updateReq
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -455,7 +449,7 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 		if rejectReplicaWrite(w) {
 			return
 		}
-		applyUpdate(w, r, func(p ip.Prefix, _ ip.NextHop) (update.TTF, error) {
+		applyUpdate(w, r, func(p ip.Prefix, _ ip.NextHop) (ttf.TTF, error) {
 			return rt.Withdraw(p)
 		}, false)
 	})

@@ -197,7 +197,6 @@ type batchItemResp struct {
 	Found    bool   `json:"found"`
 	Worker   int    `json:"worker"`
 	Diverted bool   `json:"diverted"`
-	CacheHit bool   `json:"cache_hit"`
 }
 
 type batchResp struct {
@@ -286,14 +285,8 @@ func TestLookupBatchEndpoint(t *testing.T) {
 func TestLoadFIBFromRibioFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "table.rib")
-	var sb strings.Builder
-	sb.WriteString("# test table\n10.0.0.0/8 1\n10.1.0.0/16 2\n")
-	// The core system needs at least `buckets` compressed entries, so
-	// pad the table with disjoint /24s.
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&sb, "192.168.%d.0/24 %d\n", i, i%14+1)
-	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+	// Two routes: there is no minimum table size.
+	if err := os.WriteFile(path, []byte("# test table\n10.0.0.0/8 1\n10.1.0.0/16 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -376,8 +369,7 @@ func newTestRuntime(t *testing.T, workers int) *serve.Runtime {
 		t.Fatal(err)
 	}
 	rt, err := serve.New(fib.Routes(), serve.Config{
-		Workers: workers, QueueDepth: 64, BatchMax: 16, CacheSize: 256,
-		System: serve.SystemConfig{TCAMs: 2, Buckets: 8},
+		Workers: workers, QueueDepth: 64, BatchMax: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -624,7 +616,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("GET /debug/latency: %d", status)
 	}
 	for _, key := range []string{"snapshot_lookup", "dispatch_home", "dispatch_diverted",
-		"dispatch_cache_hit", "dispatch_batch", "ttf_trie", "ttf_tcam", "ttf_dred",
+		"dispatch_batch", "ttf_trie", "ttf_tcam", "ttf_dred",
 		"snapshot_swap", "queue_depth"} {
 		sub, ok := res[key].(map[string]any)
 		if !ok {

@@ -4,8 +4,8 @@
 // partition workers while others push a burst of BGP-style announces and
 // withdraws through the single-writer update path, then the exported
 // metrics show the paper's quantities: per-update Time-To-Fresh
-// (TTF1/TTF2/TTF3), writer batching, and the divert/cache behaviour of
-// the Dynamic-Redundancy-style load balancer.
+// (TTF1/TTF2/TTF3), writer batching, and the divert behaviour of the
+// adaptive load balancer.
 package main
 
 import (
@@ -100,8 +100,8 @@ func main() {
 		st.SnapshotVersion, st.Routes, st.Batches, st.MeanBatch())
 	fmt.Printf("  mean TTF per update: trie %.0f ns + tcam %.0f ns + dred %.0f ns = %.0f ns\n",
 		mean.Trie, mean.TCAM, mean.DRed, mean.Total())
-	fmt.Printf("  divert rate %.2f%% (%d diverted, %d blocked), cache hit rate %.2f%%\n",
-		100*st.DivertRate(), st.Diverted, st.OverflowBlocked, 100*st.CacheHitRate())
+	fmt.Printf("  divert rate %.2f%% (%d diverted, %d blocked)\n",
+		100*st.DivertRate(), st.Diverted, st.OverflowBlocked)
 	fmt.Println("  served load per worker:")
 	for i, v := range st.WorkerServed {
 		fmt.Printf("    worker %d: %6.2f%%\n", i+1, 100*float64(v)/float64(st.Dispatched))

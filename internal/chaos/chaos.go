@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clue/internal/core"
 	"clue/internal/fibgen"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
@@ -61,12 +60,12 @@ type Config struct {
 	Lookers int
 	// Sequential applies the update storm one op at a time instead of in
 	// concurrent windows, and additionally verifies that the runtime's
-	// TTF accounting matches an internal/update replay of the same trace
-	// over a fresh core.System — the deterministic cost model makes the
-	// totals exactly reproducible.
+	// TTF accounting matches a replay of the same trace through a fresh
+	// onrtc.Updater priced with the same cost model — the model is
+	// deterministic, so the totals are exactly reproducible.
 	Sequential bool
 	// MaxDispatchP99 bounds the runtime's end-to-end dispatch p99
-	// (worst of the home/diverted/cache-hit paths) across the whole
+	// (worse of the home/diverted paths) across the whole
 	// soak, kill/recover storms included: degraded mode may divert and
 	// retry, but a dispatch latency cliff is an invariant violation,
 	// not an operating mode. Default 1s — the runtime's own
@@ -415,9 +414,9 @@ func Run(cfg Config) (Report, error) {
 	case rep.DispatchErrors > 0:
 		return rep, fmt.Errorf("chaos: %d dispatches failed their retry/timeout budget", rep.DispatchErrors)
 	case rep.DispatchP99Bounded && rep.DispatchP99Ns > float64(cfg.MaxDispatchP99.Nanoseconds()):
-		return rep, fmt.Errorf("chaos: dispatch p99 %.0fns exceeds the degraded-mode bound %v (home %.0fns, diverted %.0fns, cache-hit %.0fns)",
+		return rep, fmt.Errorf("chaos: dispatch p99 %.0fns exceeds the degraded-mode bound %v (home %.0fns, diverted %.0fns)",
 			rep.DispatchP99Ns, cfg.MaxDispatchP99,
-			st.Latency.DispatchHome.P99, st.Latency.DispatchDiverted.P99, st.Latency.DispatchCacheHit.P99)
+			st.Latency.DispatchHome.P99, st.Latency.DispatchDiverted.P99)
 	case rep.GoroutinesAfter > rep.GoroutinesBefore:
 		return rep, fmt.Errorf("chaos: goroutine leak: %d before, %d after close", rep.GoroutinesBefore, rep.GoroutinesAfter)
 	}
@@ -558,22 +557,35 @@ func checkpoint(rt *serve.Runtime, mirror *trie.Trie, rng *rand.Rand, probes int
 	return wrong, checked
 }
 
-// checkTTFReplay re-runs the identical op sequence through a fresh
-// core.System via the internal/update replay driver and demands the
-// exact same TTF totals — the cost model is deterministic, so any drift
-// means the serve write path and the reference pipeline diverged.
+// replayTTF runs the op sequence through a fresh onrtc.Updater and sums
+// the cost model's price of every diff — what a writer that applies
+// exactly these ops in exactly this order must have accounted.
+func replayTTF(routes []ip.Route, ups []tracegen.Update) (update.TTF, error) {
+	upd := onrtc.BuildUpdater(trie.FromRoutes(routes))
+	costs := update.DefaultCosts()
+	var sum update.TTF
+	for _, u := range ups {
+		var diff onrtc.Diff
+		switch u.Kind {
+		case tracegen.Announce:
+			diff = upd.Announce(u.Prefix, u.Hop)
+		case tracegen.Withdraw:
+			diff = upd.Withdraw(u.Prefix)
+		default:
+			return update.TTF{}, fmt.Errorf("chaos: ttf replay: unknown update kind %v", u.Kind)
+		}
+		sum = sum.Add(costs.CLUEBound(diff))
+	}
+	return sum, nil
+}
+
+// checkTTFReplay demands the runtime's TTF totals equal replayTTF's over
+// the identical op sequence — the model is deterministic, so any drift
+// means the writer dropped, duplicated or reordered an op.
 func checkTTFReplay(routes []ip.Route, ups []tracegen.Update, got update.TTF, stats update.TTF) error {
-	sys, err := core.New(routes, core.Config{})
+	want, err := replayTTF(routes, ups)
 	if err != nil {
-		return fmt.Errorf("chaos: ttf replay system: %w", err)
-	}
-	ttfs, err := update.Replay(sysPipeline{sys}, ups)
-	if err != nil {
-		return fmt.Errorf("chaos: ttf replay: %w", err)
-	}
-	var want update.TTF
-	for _, t := range ttfs {
-		want = want.Add(t)
+		return err
 	}
 	for _, pair := range []struct {
 		name      string
@@ -595,23 +607,6 @@ func ttfClose(a, b update.TTF) bool {
 	}
 	return close(a.Trie, b.Trie) && close(a.TCAM, b.TCAM) && close(a.DRed, b.DRed)
 }
-
-// sysPipeline adapts core.System to the internal/update replay driver.
-type sysPipeline struct{ sys *core.System }
-
-func (p sysPipeline) Name() string { return "serve-chaos" }
-
-func (p sysPipeline) Apply(u tracegen.Update) (update.TTF, error) {
-	switch u.Kind {
-	case tracegen.Announce:
-		return p.sys.Announce(u.Prefix, u.Hop)
-	case tracegen.Withdraw:
-		return p.sys.Withdraw(u.Prefix)
-	}
-	return update.TTF{}, fmt.Errorf("chaos: unknown update kind %v", u.Kind)
-}
-
-func (p sysPipeline) Warm([]ip.Addr) {}
 
 // awaitGoroutines waits for the goroutine count to drop back to the
 // pre-run level and returns the settled count.

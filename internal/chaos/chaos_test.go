@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"clue/internal/ip"
 	"clue/internal/tracegen"
 	"clue/internal/update"
 )
@@ -90,8 +91,8 @@ func TestChaosDispatchP99Bound(t *testing.T) {
 }
 
 // TestChaosSequentialTTFReplay runs the storm one op at a time and
-// demands the runtime's TTF accounting exactly matches an
-// internal/update replay of the same trace over a fresh core.System.
+// demands the runtime's TTF accounting exactly matches a replay of the
+// same trace through a fresh onrtc.Updater under the same cost model.
 func TestChaosSequentialTTFReplay(t *testing.T) {
 	cfg := Config{Seed: 11, Routes: 3000, Ops: 400, Cycles: 2, Checkpoints: 4, ProbesPerCheckpoint: 300, Lookers: 2, Sequential: true}
 	rep, err := Run(cfg)
@@ -154,14 +155,30 @@ func TestConfigDefaultsAndHelpers(t *testing.T) {
 		t.Fatalf("logf wrote %q", got)
 	}
 
-	var p sysPipeline
-	if p.Name() != "serve-chaos" {
-		t.Fatalf("pipeline name %q", p.Name())
-	}
-	p.Warm(nil)
-	if _, err := p.Apply(tracegen.Update{Kind: tracegen.UpdateKind(99)}); err == nil ||
+	// The TTF replay reference: an unknown op kind is refused, the exact
+	// trace matches itself, and a writer that dropped, duplicated or
+	// reordered an op is caught.
+	base := []ip.Route{{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1}}
+	if err := checkTTFReplay(base, []tracegen.Update{{Kind: tracegen.UpdateKind(99)}}, update.TTF{}, update.TTF{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown update kind") {
 		t.Fatalf("unknown kind accepted: %v", err)
+	}
+	trace := []tracegen.Update{
+		{Kind: tracegen.Announce, Prefix: ip.MustParsePrefix("10.1.0.0/16"), Hop: 2},
+		{Kind: tracegen.Announce, Prefix: ip.MustParsePrefix("10.1.0.0/16"), Hop: 1},
+		{Kind: tracegen.Withdraw, Prefix: ip.MustParsePrefix("10.0.0.0/8")},
+	}
+	if got, _ := replayTTF(base, trace); checkTTFReplay(base, trace, got, got) != nil {
+		t.Fatalf("exact trace does not replay to its own totals %+v", got)
+	}
+	for name, mutant := range map[string][]tracegen.Update{
+		"dropped":    trace[:2],
+		"duplicated": {trace[0], trace[1], trace[1], trace[2]},
+		"reordered":  {trace[1], trace[0], trace[2]},
+	} {
+		if got, _ := replayTTF(base, mutant); checkTTFReplay(base, trace, got, got) == nil {
+			t.Errorf("%s op not caught: totals %+v", name, got)
+		}
 	}
 
 	if !ttfClose(update.TTF{Trie: 1, TCAM: 2, DRed: 3}, update.TTF{Trie: 1, TCAM: 2, DRed: 3}) {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clue/internal/core"
 	"clue/internal/feed"
 	"clue/internal/fibgen"
 	"clue/internal/ip"
@@ -239,9 +238,8 @@ func RunFeed(cfg FeedConfig) (FeedReport, error) {
 		}
 	}
 
-	sys := core.Config{TCAMs: 2, Buckets: 8}
-	appA := feed.NewRuntimeApplier(serve.Config{Workers: cfg.Workers, System: sys})
-	appB := feed.NewRuntimeApplier(serve.Config{Workers: cfg.Workers, System: sys})
+	appA := feed.NewRuntimeApplier(serve.Config{Workers: cfg.Workers})
+	appB := feed.NewRuntimeApplier(serve.Config{Workers: cfg.Workers})
 	defer appA.Close()
 	defer appB.Close()
 	gateA := &gatedApplier{inner: appA}

@@ -228,8 +228,8 @@ func runScenario(cfg ScenarioConfig) (ScenarioReport, error) {
 	// Lookers follow the phase's declared traffic spec. Each looker
 	// keeps one Traffic generator per phase, all built from the same
 	// per-looker seed, so flash-crowd's Invert really is the same
-	// popularity ranking reversed — the divert caches and the home
-	// carve warmed up on the straight ranking face its mirror image.
+	// popularity ranking reversed — the home carve warmed up on the
+	// straight ranking faces its mirror image.
 	population := tracegen.PrefixesFromRoutes(sc.Base)
 	var phaseIdx atomic.Int32
 	phaseLookups := make([]atomic.Int64, len(sc.Phases))

@@ -62,10 +62,10 @@ func (c Config) withDefaults() Config {
 // Announce, Withdraw and Rebalance mutate, with no internal locking —
 // exactly like the hardware it models, where the control plane owns the
 // update bus. Callers must either confine a System to one goroutine or
-// provide their own synchronisation. For concurrent serving, wrap the
-// System in a serve.Runtime (internal/serve), which gives lock-free
-// lookup snapshots (RCU) plus a single writer goroutine that owns all
-// mutations.
+// provide their own synchronisation. For concurrent serving use a
+// serve.Runtime (internal/serve) on the same routes: lock-free lookup
+// snapshots (RCU) plus a single writer goroutine over the same ONRTC
+// updater, without the simulated chips.
 type System struct {
 	cfg     Config
 	updater *onrtc.Updater
@@ -137,9 +137,8 @@ func (s *System) Engine() *engine.Engine { return s.eng }
 func (s *System) DReds() *dred.Group { return s.eng.DReds() }
 
 // CompressedRoutes returns a fresh copy of the compressed table in
-// ascending address order (disjoint, so strictly ascending ranges). The
-// serve runtime snapshots the table through this on every batch swap;
-// the returned slice shares no state with the System.
+// ascending address order (disjoint, so strictly ascending ranges); the
+// returned slice shares no state with the System.
 func (s *System) CompressedRoutes() []ip.Route {
 	return s.updater.Table().Routes()
 }
@@ -173,8 +172,7 @@ func (s *System) Announce(p ip.Prefix, hop ip.NextHop) (update.TTF, error) {
 }
 
 // AnnounceDiff is Announce, additionally returning the compressed-table
-// diff the announcement produced. The serve runtime uses the diff to
-// propagate targeted invalidations to its per-worker caches.
+// diff the announcement produced.
 func (s *System) AnnounceDiff(p ip.Prefix, hop ip.NextHop) (update.TTF, onrtc.Diff, error) {
 	if hop == ip.NoRoute {
 		return update.TTF{}, onrtc.Diff{}, fmt.Errorf("core: announce %s: next hop must be non-zero", p)
@@ -202,9 +200,12 @@ func (s *System) WithdrawDiff(p ip.Prefix) (update.TTF, onrtc.Diff, error) {
 }
 
 // applyDiff pushes compressed-table ops to the owning chips and fixes the
-// DReds, accumulating TTF.
+// DReds. Trie and DRed time are the cost model's terms; TCAM time is what
+// the chips actually spent (a prefix replicated on several chips costs
+// more than the single-chip bound).
 func (s *System) applyDiff(diff onrtc.Diff) (update.TTF, error) {
-	ttf := update.TTF{Trie: float64(diff.Visits.Nodes) * s.cfg.Costs.SRAMAccessNs}
+	ttf := s.cfg.Costs.CLUEBound(diff)
+	ttf.TCAM = 0
 	for _, op := range diff.Ops {
 		accesses, err := s.applyOp(op)
 		if err != nil {
@@ -214,7 +215,6 @@ func (s *System) applyDiff(diff onrtc.Diff) (update.TTF, error) {
 		switch op.Kind {
 		case onrtc.OpDelete:
 			s.eng.DReds().Invalidate(op.Route.Prefix)
-			ttf.DRed += s.cfg.Costs.TCAMAccessNs
 		case onrtc.OpModify:
 			for i := 0; i < s.eng.DReds().N(); i++ {
 				c := s.eng.DReds().Cache(i)
@@ -222,7 +222,6 @@ func (s *System) applyDiff(diff onrtc.Diff) (update.TTF, error) {
 					c.Insert(op.Route)
 				}
 			}
-			ttf.DRed += s.cfg.Costs.TCAMAccessNs
 		}
 	}
 	return ttf, nil

@@ -398,8 +398,9 @@ func (c *Collector) sendLoop(cc *collConn, hasState bool, lastApplied uint64) {
 			c.cond.Wait()
 		}
 		if c.closed || cc.gone {
+			closed := c.closed
 			c.mu.Unlock()
-			if c.closed {
+			if closed {
 				WriteFrame(cc.nc, Frame{Type: FrameBye}) // best effort
 			}
 			return
@@ -407,8 +408,9 @@ func (c *Collector) sendLoop(cc *collConn, hasState bool, lastApplied uint64) {
 		if next < c.logStart {
 			// Trimmed past this follower's position (it stalled longer
 			// than the window): replay is impossible, start over.
+			logStart := c.logStart
 			c.mu.Unlock()
-			c.logf("feed: %s: batch %d trimmed (log starts at %d), re-snapshotting", cc.nc.RemoteAddr(), next, c.logStart)
+			c.logf("feed: %s: batch %d trimmed (log starts at %d), re-snapshotting", cc.nc.RemoteAddr(), next, logStart)
 			var ok bool
 			next, ok = c.sendSnapshot(cc)
 			if !ok {

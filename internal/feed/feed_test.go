@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"clue/internal/core"
 	"clue/internal/fibgen"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
@@ -153,6 +152,12 @@ func TestFollowerBootstrapAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectConverged(t, c, app, "follower")
+	// A follower that connected after the last Apply reaches `last` with
+	// the bootstrap snapshot alone; its hash frame is the next frame on
+	// the wire, so give it a moment rather than racing it.
+	for deadline := time.Now().Add(5 * time.Second); f.Stats().HashChecks == 0 && time.Now().Before(deadline); {
+		time.Sleep(200 * time.Microsecond)
+	}
 	s := f.Stats()
 	if s.SnapshotLoads != 1 {
 		t.Fatalf("SnapshotLoads = %d, want 1", s.SnapshotLoads)
@@ -393,7 +398,7 @@ func TestCollectorRestartHandoff(t *testing.T) {
 func TestRuntimeApplierFollower(t *testing.T) {
 	base, recs := testTrace(t, 7, 400, 120)
 	c := startCollector(t, CollectorConfig{BaseRoutes: base, HashEvery: 4})
-	app := NewRuntimeApplier(serve.Config{Workers: 2, System: core.Config{TCAMs: 2, Buckets: 8}})
+	app := NewRuntimeApplier(serve.Config{Workers: 2})
 	defer app.Close()
 	f := startFollower(t, FollowerConfig{Dial: dialTo(c), Applier: app, Logf: t.Logf})
 
@@ -438,7 +443,7 @@ func TestRuntimeApplierReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := fib.Routes()
-	app := NewRuntimeApplier(serve.Config{Workers: 2, System: core.Config{TCAMs: 2, Buckets: 8}})
+	app := NewRuntimeApplier(serve.Config{Workers: 2})
 	defer app.Close()
 	if err := app.Reset(base); err != nil {
 		t.Fatal(err)
@@ -462,6 +467,33 @@ func TestRuntimeApplierReconcile(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("canonical route %d = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestRuntimeApplierTinySnapshot: a replica bootstraps from a snapshot of
+// any size under the zero Config (the runtime used to refuse fewer than
+// 32 compressed entries).
+func TestRuntimeApplierTinySnapshot(t *testing.T) {
+	base := []ip.Route{
+		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
+		{Prefix: ip.MustParsePrefix("10.1.0.0/16"), NextHop: 2},
+		{Prefix: ip.MustParsePrefix("172.16.0.0/12"), NextHop: 3},
+		{Prefix: ip.MustParsePrefix("192.168.0.0/16"), NextHop: 4},
+		{Prefix: ip.MustParsePrefix("198.51.100.0/24"), NextHop: 5},
+	}
+	app := NewRuntimeApplier(serve.Config{})
+	defer app.Close()
+	if err := app.Reset(base); err != nil {
+		t.Fatalf("Reset from a 5-route snapshot: %v", err)
+	}
+	if err := app.Announce(ip.MustParsePrefix("203.0.113.0/24"), 6); err != nil {
+		t.Fatal(err)
+	}
+	if hop, _, ok := app.Runtime().Lookup(ip.MustParseAddr("203.0.113.9")); !ok || hop != 6 {
+		t.Fatalf("Lookup after announce = %d,%v want 6", hop, ok)
+	}
+	if hop, _, ok := app.Runtime().Lookup(ip.MustParseAddr("10.1.2.3")); !ok || hop != 2 {
+		t.Fatalf("Lookup(10.1.2.3) = %d,%v want 2", hop, ok)
 	}
 }
 

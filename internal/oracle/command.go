@@ -27,8 +27,8 @@ const (
 	CmdFail
 	// CmdRecover returns serve worker Worker to service.
 	CmdRecover
-	// CmdFlush flushes every redundancy cache (serve worker caches via a
-	// control publication, pipeline DRed groups directly).
+	// CmdFlush flushes every redundancy cache (pipeline DRed groups
+	// directly; the serve runtime has none and republishes instead).
 	CmdFlush
 	// CmdSwap forces a snapshot swap on engines that publish snapshots.
 	CmdSwap

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"clue/internal/core"
 	"clue/internal/engine"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
@@ -112,10 +111,7 @@ func buildEngine(cfg Config, name string, routes []ip.Route) (Engine, error) {
 			return engine.NewCLPLSystem(fib, 2, 2, nil)
 		}), nil
 	case "serve":
-		rt, err := serve.New(routes, serve.Config{
-			Workers: cfg.Workers,
-			System:  core.Config{TCAMs: 2, Buckets: 8},
-		})
+		rt, err := serve.New(routes, serve.Config{Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +344,7 @@ func (e *sysEngine) Check(*Model) error {
 
 // serveEngine is the full concurrent runtime. Lookups answer from the
 // snapshot path; every fourth call additionally runs the worker dispatch
-// path (queues, divert, DRed-analog caches) and demands it agree with
+// path (queues, divert) and demands it agree with
 // the snapshot — the driver is single-writer, so the two paths see the
 // same published table. Batch commands run through DispatchBatch.
 type serveEngine struct {
@@ -417,8 +413,8 @@ func ignoreStateRefusal(err error) error {
 	return err
 }
 
-func (e *serveEngine) Flush() error { return e.rt.FlushCaches() }
-func (e *serveEngine) Swap() error  { return e.rt.FlushCaches() }
+func (e *serveEngine) Flush() error { return e.rt.Republish() }
+func (e *serveEngine) Swap() error  { return e.rt.Republish() }
 
 // Rebalance forces one repartitioning pass. The runtime legitimately
 // declines a recut (no traffic signal, degraded workers, too few

@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"clue/internal/core"
 	"clue/internal/feed"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
@@ -39,10 +38,7 @@ func newFeedEngine(cfg Config, routes []ip.Route) (Engine, error) {
 	if _, err := coll.Listen("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
-	app := feed.NewRuntimeApplier(serve.Config{
-		Workers: cfg.Workers,
-		System:  core.Config{TCAMs: 2, Buckets: 8},
-	})
+	app := feed.NewRuntimeApplier(serve.Config{Workers: cfg.Workers})
 	fl, err := feed.NewFollower(feed.FollowerConfig{
 		Dial: func() (net.Conn, error) {
 			return net.DialTimeout("tcp", coll.Addr().String(), time.Second)
@@ -132,7 +128,7 @@ func (e *feedEngine) RecoverWorker(id int) error {
 	return ignoreStateRefusal(e.app.Runtime().RecoverWorker(id))
 }
 
-func (e *feedEngine) Flush() error { return e.app.Runtime().FlushCaches() }
+func (e *feedEngine) Flush() error { return e.app.Runtime().Republish() }
 
 // Check asserts replication-specific invariants on top of the table
 // dump the driver already cross-compares: the stream never detected a

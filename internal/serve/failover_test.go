@@ -12,8 +12,8 @@ import (
 // dispatch fallback cascade: with the home worker down and the
 // locality-preferred divert target's queue full, the any-healthy
 // fallback must still place the request on a healthy worker with queue
-// space — even one leastLoaded skips for having an empty home range and
-// a cold cache. Before the fix the fallback arm was nested so it only
+// space — even one leastLoaded skips for having an empty home range.
+// Before the fix the fallback arm was nested so it only
 // ran when leastLoaded found no target at all, so this exact state sent
 // dispatches into the retry loop until ErrEnqueueTimeout while worker 2
 // sat idle; on the pre-fix code this test fails with a timeout error.
@@ -27,15 +27,14 @@ func TestEnqueueFallbackReachesAnyHealthyWorker(t *testing.T) {
 		QueueDepth:     1,
 		EnqueueRetries: 2,
 		EnqueueTimeout: 40 * time.Millisecond,
-		System:         SystemConfig{TCAMs: 2, Buckets: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 
-	// 2 routes over 3 workers: worker 2 has a zero-width home range and a
-	// cold cache, so leastLoaded never offers it as a divert target.
+	// 2 routes over 3 workers: worker 2 has a zero-width home range, so
+	// leastLoaded never offers it as a divert target.
 	snap := rt.Snapshot()
 	if snap.emptyHome(0) || snap.emptyHome(1) || !snap.emptyHome(2) {
 		t.Fatalf("partition shape: empty=%v", snap.empty)
@@ -121,7 +120,7 @@ func TestSnapshotHomeNeverReturnsEmptyWorker(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := snapshotShell(1, tc.routes, tc.workers, nil, tc.down, nil)
+			s := snapshotShell(1, tc.routes, tc.workers, tc.down, nil)
 			for _, a := range probes {
 				h := s.Home(a)
 				if h < 0 || h >= tc.workers {

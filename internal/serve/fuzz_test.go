@@ -70,7 +70,7 @@ func FuzzSnapshotIndex(f *testing.F) {
 		}
 		table := onrtc.Compress(fib)
 		routes := table.Routes()
-		snap := newSnapshot(1, routes, 4, nil)
+		snap := newSnapshot(1, routes, 4)
 		if !snap.Indexed() && len(routes) > 0 {
 			// Force the indexed path for tables below the size gate, so
 			// the fuzzer always exercises the stride index.
@@ -101,14 +101,14 @@ func FuzzSnapshotIndex(f *testing.F) {
 					j++
 				}
 			}
-			snap1 := newSnapshot(1, routes1, 4, nil)
+			snap1 := newSnapshot(1, routes1, 4)
 			if snap1.index.empty() {
 				snap1.index = buildIndexInto(snap1.ar, snap1.rng)
 			}
 			ar2 := newArena(len(routes))
 			rng2, hop2 := ar2.routeSlabs(len(routes))
 			fillSlabs(rng2, hop2, routes)
-			snapP = shellOnArena(ar2, 2, 4, nil, nil, nil, false)
+			snapP = shellOnArena(ar2, 2, 4, nil, nil)
 			snapP.index = patchIndexInto(ar2, snap1.index, rng2, insLast, delLast, len(routes))
 
 			// A patched index must be cut-for-cut the index a full

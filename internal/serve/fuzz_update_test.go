@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"clue/internal/core"
 	"clue/internal/ip"
 	"clue/internal/trie"
 )
@@ -40,8 +39,8 @@ func FuzzRuntimeUpdate(f *testing.F) {
 			raw = raw[:6*512]
 		}
 		const workers = 3
-		// Base FIB of disjoint /8s: keeps the compressed table above the
-		// tiny bucket count and gives lookups something to hit from op 0.
+		// Base FIB of disjoint /8s: gives lookups something to hit from
+		// op 0.
 		base := []ip.Route{
 			{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
 			{Prefix: ip.MustParsePrefix("20.0.0.0/8"), NextHop: 2},
@@ -56,7 +55,6 @@ func FuzzRuntimeUpdate(f *testing.F) {
 			Workers:    workers,
 			QueueDepth: 16,
 			BatchMax:   4,
-			System:     core.Config{TCAMs: 2, Buckets: 2},
 		})
 		if err != nil {
 			t.Fatal(err)

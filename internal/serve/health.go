@@ -62,8 +62,7 @@ var ErrEnqueueTimeout = errors.New("serve: enqueue timed out, all eligible worke
 // across the surviving workers — the disjoint table makes the recut a
 // pure boundary move with no priority reordering — and the re-homed
 // snapshot is published before FailWorker returns, after which the
-// worker is failed. Survivor caches are flushed with the new snapshot
-// so no DRed-analog entry from the old partition map goes stale.
+// worker is failed.
 //
 // Failing the last healthy worker is refused (ErrWorkerState): operator
 // action never stops forwarding. Only a panic can take the last worker
@@ -88,9 +87,8 @@ func (r *Runtime) FailWorker(id int) error {
 
 // RecoverWorker returns a failed worker to service: its state flips to
 // healthy and the next published snapshot re-homes the partition bounds
-// to include it again. The rehome snapshot flushes every worker cache,
-// which also clears whatever the recovered worker cached before it
-// failed. RecoverWorker returns after the recut snapshot is published.
+// to include it again. RecoverWorker returns after the recut snapshot
+// is published.
 func (r *Runtime) RecoverWorker(id int) error {
 	if id < 0 || id >= len(r.workers) {
 		return fmt.Errorf("%w: %d (have %d)", ErrUnknownWorker, id, len(r.workers))
@@ -124,7 +122,7 @@ func (r *Runtime) healthyCount() int {
 
 // submitCtl queues a control op that forces the writer to publish a
 // re-homed snapshot (fresh partition bounds from the current health
-// states, caches flushed) and waits for the publication.
+// states) and waits for the publication.
 func (r *Runtime) submitCtl() error {
 	if r.closed.Load() {
 		return ErrClosed
@@ -140,14 +138,13 @@ func (r *Runtime) submitCtl() error {
 	return nil
 }
 
-// FlushCaches publishes a fresh snapshot recut from the current worker
-// health states with every worker's DRed-analog cache flushed, and
-// returns once the publication is live. It is the operator / test hook
-// for forcing a snapshot swap without a route change — the same
-// control publication FailWorker and RecoverWorker ride — so stale
-// cache suspicion can be cleared (and the oracle's flush/swap lifecycle
-// commands exercised) without taking a worker out of service.
-func (r *Runtime) FlushCaches() error { return r.submitCtl() }
+// Republish publishes a fresh snapshot recut from the current worker
+// health states and returns once the publication is live. It is the
+// operator / test hook for forcing a snapshot swap without a route
+// change — the same control publication FailWorker and RecoverWorker
+// ride — so the oracle's flush/swap lifecycle commands are exercised
+// without taking a worker out of service.
+func (r *Runtime) Republish() error { return r.submitCtl() }
 
 // failAfterPanic is the panic-recovery path out of worker.run: the
 // worker is forced straight to failed and a rehome publication is

@@ -23,7 +23,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative queue depth", Config{QueueDepth: -4}, "QueueDepth"},
 		{"negative update queue", Config{UpdateQueue: -1}, "UpdateQueue"},
 		{"negative batch max", Config{BatchMax: -64}, "BatchMax"},
-		{"negative cache size", Config{CacheSize: -2}, "CacheSize"},
 		{"negative enqueue retries", Config{EnqueueRetries: -1}, "EnqueueRetries"},
 		{"negative enqueue timeout", Config{EnqueueTimeout: -time.Second}, "EnqueueTimeout"},
 	}
@@ -63,9 +62,6 @@ func TestFailWorkerRehomesRange(t *testing.T) {
 		t.Fatalf("worker 1 state = %v, want failed", st[1])
 	}
 	snap := rt.Snapshot()
-	if !snap.flushCaches {
-		t.Fatal("re-homed snapshot does not flush caches")
-	}
 
 	// The failed worker's range is gone and the survivors' shares are an
 	// exact even count split of the disjoint table.
@@ -502,13 +498,13 @@ func TestSnapshotShellDownMask(t *testing.T) {
 	_, routes := testRoutes(t, 2000, 48)
 
 	t.Run("rehome shares index", func(t *testing.T) {
-		prev := newSnapshot(1, routes, 4, nil)
+		prev := newSnapshot(1, routes, 4)
 		if prev.index.empty() {
 			t.Fatal("test table below index threshold")
 		}
-		next := newSnapshotFrom(prev, 2, routes, 4, nil, nil, nil, []bool{false, true, false, false}, nil, true)
-		if !next.flushCaches {
-			t.Fatal("flush flag lost")
+		next := prev.clonePatched(2, 4, []bool{false, true, false, false}, nil)
+		if next.Home(routes[len(routes)/3].Prefix.First()) == 1 {
+			t.Fatal("re-homed snapshot still homes routes to the down worker")
 		}
 		if &next.index.l1[0] != &prev.index.l1[0] {
 			t.Fatal("control publication copied the stride index instead of sharing it")
@@ -516,7 +512,7 @@ func TestSnapshotShellDownMask(t *testing.T) {
 	})
 
 	t.Run("worker zero down", func(t *testing.T) {
-		s := snapshotShell(1, routes, 4, nil, []bool{true, false, false, false}, nil)
+		s := snapshotShell(1, routes, 4, []bool{true, false, false, false}, nil)
 		counts := make([]int, 4)
 		for _, r := range routes {
 			counts[s.Home(r.Prefix.First())]++
@@ -532,7 +528,7 @@ func TestSnapshotShellDownMask(t *testing.T) {
 	})
 
 	t.Run("middle worker down keeps order", func(t *testing.T) {
-		s := snapshotShell(1, routes, 4, nil, []bool{false, false, true, false}, nil)
+		s := snapshotShell(1, routes, 4, []bool{false, false, true, false}, nil)
 		for i := 1; i < len(s.starts); i++ {
 			if s.starts[i] < s.starts[i-1] {
 				t.Fatalf("starts not monotone at %d: %v", i, s.starts)
@@ -546,7 +542,7 @@ func TestSnapshotShellDownMask(t *testing.T) {
 	})
 
 	t.Run("all down keeps Home total", func(t *testing.T) {
-		s := snapshotShell(1, routes, 3, nil, []bool{true, true, true}, nil)
+		s := snapshotShell(1, routes, 3, []bool{true, true, true}, nil)
 		for a := 0; a < 1000; a++ {
 			if h := s.Home(ip.Addr(a * 4_000_000)); h != 0 {
 				t.Fatalf("Home = %d with all workers down, want nominal 0", h)
@@ -556,7 +552,7 @@ func TestSnapshotShellDownMask(t *testing.T) {
 
 	t.Run("down with tiny table", func(t *testing.T) {
 		tiny := routes[:2]
-		s := snapshotShell(1, tiny, 4, nil, []bool{false, true, false, false}, nil)
+		s := snapshotShell(1, tiny, 4, []bool{false, true, false, false}, nil)
 		counts := make([]int, 4)
 		for _, r := range tiny {
 			counts[s.Home(r.Prefix.First())]++

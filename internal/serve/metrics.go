@@ -6,7 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 
-	"clue/internal/update"
+	"clue/internal/ttf"
 )
 
 // atomicFloat is a float64 accumulator with atomic loads/stores. Only the
@@ -27,10 +27,6 @@ type metrics struct {
 	dispatchBatches atomic.Int64
 	diverted        atomic.Int64
 	overflowBlocked atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-	cacheFlushes    atomic.Int64
-	cacheInvalid    atomic.Int64
 
 	rehomes         atomic.Int64
 	enqueueRetries  atomic.Int64
@@ -87,7 +83,6 @@ type metrics struct {
 	lookupLat        *latencyHist
 	dispatchHome     *latencyHist
 	dispatchDivert   *latencyHist
-	dispatchCacheHit *latencyHist
 	dispatchBatchLat *latencyHist
 	ttf1Lat          *latencyHist
 	ttf2Lat          *latencyHist
@@ -102,7 +97,6 @@ func (m *metrics) initHistograms(workers int) {
 	m.lookupLat = newLatencyHist(1)
 	m.dispatchHome = newLatencyHist(workers)
 	m.dispatchDivert = newLatencyHist(workers)
-	m.dispatchCacheHit = newLatencyHist(workers)
 	m.dispatchBatchLat = newLatencyHist(1)
 	m.ttf1Lat = newLatencyHist(1)
 	m.ttf2Lat = newLatencyHist(1)
@@ -120,14 +114,11 @@ type LatencyStats struct {
 	// SnapshotLookup is the sampled RCU read-side lookup latency
 	// (Runtime.Lookup; one in lookupSampleMask+1 calls is timed).
 	SnapshotLookup LatencySummary `json:"snapshot_lookup"`
-	// DispatchHome/DispatchDiverted/DispatchCacheHit split sampled
-	// single-dispatch end-to-end latency (enqueue to answer) by outcome:
-	// served at the home worker, diverted and answered from the
-	// snapshot, diverted and answered from the serving worker's
-	// DRed-analog cache.
+	// DispatchHome/DispatchDiverted split sampled single-dispatch
+	// end-to-end latency (enqueue to answer) by outcome: served at the
+	// home worker, or diverted to another one.
 	DispatchHome     LatencySummary `json:"dispatch_home"`
 	DispatchDiverted LatencySummary `json:"dispatch_diverted"`
-	DispatchCacheHit LatencySummary `json:"dispatch_cache_hit"`
 	// DispatchBatch is whole-call DispatchBatch latency (every call).
 	DispatchBatch LatencySummary `json:"dispatch_batch"`
 	// TTFTrie/TTFTCAM/TTFDRed are the per-op TTF1/TTF2/TTF3
@@ -142,18 +133,11 @@ type LatencyStats struct {
 	QueueDepth LatencySummary `json:"queue_depth"`
 }
 
-// DispatchP99Ns returns the worst p99 across the three dispatch outcome
-// paths — the single number the chaos harness bounds during
-// kill/recover storms.
+// DispatchP99Ns returns the worse p99 of the two dispatch outcome paths
+// — the single number the chaos harness bounds during kill/recover
+// storms.
 func (l LatencyStats) DispatchP99Ns() float64 {
-	p := l.DispatchHome.P99
-	if l.DispatchDiverted.P99 > p {
-		p = l.DispatchDiverted.P99
-	}
-	if l.DispatchCacheHit.P99 > p {
-		p = l.DispatchCacheHit.P99
-	}
-	return p
+	return max(l.DispatchHome.P99, l.DispatchDiverted.P99)
 }
 
 // Stats is a point-in-time export of the runtime's metrics, safe to
@@ -197,14 +181,11 @@ type Stats struct {
 	// indefinitely).
 	Diverted        int64 `json:"diverted"`
 	OverflowBlocked int64 `json:"overflow_blocked"`
-	// CacheHits/CacheMisses count diverted lookups served from / missing
-	// the serving worker's DRed-analog cache. CacheFlushes counts full
-	// cache resets after multi-version snapshot jumps; CacheInvalidations
-	// counts targeted stale-prefix removals.
-	CacheHits          int64 `json:"cache_hits"`
-	CacheMisses        int64 `json:"cache_misses"`
-	CacheFlushes       int64 `json:"cache_flushes"`
-	CacheInvalidations int64 `json:"cache_invalidations"`
+	// CacheHits/CacheMisses are always zero: serve has no divert cache.
+	// They and CacheHitRate stay only until benchmark/layers.go drops
+	// its serve.dispatch.cache_hit_ratio row.
+	CacheHits   int64 `json:"-"`
+	CacheMisses int64 `json:"-"`
 	// WorkerServed is the per-worker served-lookup count.
 	WorkerServed []int64 `json:"worker_served"`
 	// WorkerHealth is each worker's health state ("healthy", "draining",
@@ -264,8 +245,8 @@ type Stats struct {
 	// TTFTotals accumulates the paper's per-update Time-To-Fresh
 	// breakdown (ns) across all applied ops; SwapNs the wall time spent
 	// building and publishing snapshots.
-	TTFTotals update.TTF `json:"ttf_totals_ns"`
-	SwapNs    float64    `json:"swap_ns"`
+	TTFTotals ttf.TTF `json:"ttf_totals_ns"`
+	SwapNs    float64 `json:"swap_ns"`
 
 	// Latency carries the distributional view of the same pipeline:
 	// p50/p90/p99/max summaries (with sparse power-of-two buckets) for
@@ -282,14 +263,8 @@ func (s Stats) DivertRate() float64 {
 	return float64(s.Diverted) / float64(s.Dispatched)
 }
 
-// CacheHitRate returns hits/(hits+misses) on the divert path.
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
+// CacheHitRate is always zero (see CacheHits).
+func (s Stats) CacheHitRate() float64 { return 0 }
 
 // MeanBatch returns the mean ops per writer batch.
 func (s Stats) MeanBatch() float64 {
@@ -300,10 +275,10 @@ func (s Stats) MeanBatch() float64 {
 }
 
 // MeanTTF returns the mean per-update TTF breakdown.
-func (s Stats) MeanTTF() update.TTF {
+func (s Stats) MeanTTF() ttf.TTF {
 	n := s.Announces + s.Withdraws
 	if n == 0 {
-		return update.TTF{}
+		return ttf.TTF{}
 	}
 	return s.TTFTotals.Scale(1 / float64(n))
 }
@@ -332,10 +307,6 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	emit("clue_serve_dispatch_batches_total", "counter", "DispatchBatch calls served.", float64(s.DispatchBatches))
 	emit("clue_serve_diverted_total", "counter", "Dispatches diverted off a full home queue.", float64(s.Diverted))
 	emit("clue_serve_overflow_blocked_total", "counter", "Dispatches that found every eligible queue full and entered the bounded retry loop (counted once, on the first retry).", float64(s.OverflowBlocked))
-	emit("clue_serve_cache_hits_total", "counter", "Diverted lookups served from a worker cache.", float64(s.CacheHits))
-	emit("clue_serve_cache_misses_total", "counter", "Diverted lookups missing the worker cache.", float64(s.CacheMisses))
-	emit("clue_serve_cache_flushes_total", "counter", "Worker cache flushes after snapshot jumps.", float64(s.CacheFlushes))
-	emit("clue_serve_cache_invalidations_total", "counter", "Targeted worker cache invalidations.", float64(s.CacheInvalidations))
 	emit("clue_serve_failed_workers", "gauge", "Workers currently draining or failed (non-zero = degraded mode).", float64(s.FailedWorkers))
 	emit("clue_serve_rehomes_total", "counter", "Snapshots published with recut partition bounds.", float64(s.Rehomes))
 	emit("clue_serve_enqueue_retries_total", "counter", "Dispatch enqueue backoff retries.", float64(s.EnqueueRetries))
@@ -362,7 +333,7 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	emit("clue_serve_index_rebuilds_total", "counter", "Structural publications whose index was rebuilt from the table.", float64(s.IndexRebuilds))
 	emit("clue_serve_arenas_recycled_total", "counter", "Retired arenas returned to the writer pool by epoch reclamation.", float64(s.ArenasRecycled))
 	emit("clue_serve_ttf_trie_ns_total", "counter", "TTF1 (control-plane trie) nanoseconds.", s.TTFTotals.Trie)
-	emit("clue_serve_ttf_tcam_ns_total", "counter", "TTF2 (TCAM maintenance) nanoseconds.", s.TTFTotals.TCAM)
+	emit("clue_serve_ttf_tcam_ns_total", "counter", "TTF2 (TCAM maintenance, the disjoint-table model bound) nanoseconds.", s.TTFTotals.TCAM)
 	emit("clue_serve_ttf_dred_ns_total", "counter", "TTF3 (redundancy maintenance) nanoseconds.", s.TTFTotals.DRed)
 	emit("clue_serve_snapshot_swap_ns_total", "counter", "Wall time building and publishing snapshots.", s.SwapNs)
 	if err != nil {
@@ -394,8 +365,7 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	}{
 		{"clue_serve_snapshot_lookup_latency_ns", "Sampled RCU snapshot lookup latency.", s.Latency.SnapshotLookup},
 		{"clue_serve_dispatch_home_latency_ns", "Sampled end-to-end latency of dispatches served at their home worker.", s.Latency.DispatchHome},
-		{"clue_serve_dispatch_diverted_latency_ns", "Sampled end-to-end latency of diverted dispatches answered from the snapshot.", s.Latency.DispatchDiverted},
-		{"clue_serve_dispatch_cache_hit_latency_ns", "Sampled end-to-end latency of diverted dispatches answered from a worker cache.", s.Latency.DispatchCacheHit},
+		{"clue_serve_dispatch_diverted_latency_ns", "Sampled end-to-end latency of dispatches diverted off their home worker.", s.Latency.DispatchDiverted},
 		{"clue_serve_dispatch_batch_latency_ns", "Whole-call DispatchBatch latency.", s.Latency.DispatchBatch},
 		{"clue_serve_ttf_trie_latency_ns", "Per-op TTF1 (control-plane trie) distribution.", s.Latency.TTFTrie},
 		{"clue_serve_ttf_tcam_latency_ns", "Per-op TTF2 (TCAM maintenance) distribution.", s.Latency.TTFTCAM},

@@ -8,8 +8,8 @@ import (
 
 // TestNoopBatchSkipsPublication is the regression for the no-op batch
 // path: a batch whose every op changed nothing (withdraw-of-absent) must
-// not copy the table, bump the version or wake the workers' cache sync —
-// the previously published snapshot stays in place, pointer-identical.
+// not copy the table or bump the version — the previously published
+// snapshot stays in place, pointer-identical.
 func TestNoopBatchSkipsPublication(t *testing.T) {
 	_, routes := testRoutes(t, 2000, 64)
 	rt, err := New(routes, Config{})
@@ -127,7 +127,7 @@ func TestLatencyStatsPopulated(t *testing.T) {
 	if want := int64(512 / 128); lat.SnapshotLookup.Count != want {
 		t.Errorf("snapshot lookup samples = %d, want %d", lat.SnapshotLookup.Count, want)
 	}
-	dispatchSamples := lat.DispatchHome.Count + lat.DispatchDiverted.Count + lat.DispatchCacheHit.Count
+	dispatchSamples := lat.DispatchHome.Count + lat.DispatchDiverted.Count
 	if want := int64(256 / 8); dispatchSamples != want {
 		t.Errorf("dispatch samples = %d, want %d", dispatchSamples, want)
 	}
@@ -143,12 +143,11 @@ func TestLatencyStatsPopulated(t *testing.T) {
 }
 
 // TestDispatchP99NsPicksWorstPath pins the chaos-harness bound to the
-// worst of the three dispatch outcome paths.
+// worse of the two dispatch outcome paths.
 func TestDispatchP99NsPicksWorstPath(t *testing.T) {
 	l := LatencyStats{
 		DispatchHome:     LatencySummary{P99: 100},
 		DispatchDiverted: LatencySummary{P99: 900},
-		DispatchCacheHit: LatencySummary{P99: 300},
 	}
 	if got := l.DispatchP99Ns(); got != 900 {
 		t.Fatalf("DispatchP99Ns = %g, want 900", got)

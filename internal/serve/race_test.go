@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentReadersDuringUpdateStorm is the concurrency-contract
 // regression test for the serve runtime (and, transitively, for wrapping
-// core.System correctly): at least 4 reader goroutines hammer the
+// onrtc.Updater correctly): at least 4 reader goroutines hammer the
 // snapshot and dispatch paths while two writers replay a live
 // announce/withdraw storm through the batching writer. Run under
 // `go test -race` this proves the RCU read side never races the update
@@ -132,24 +132,32 @@ func TestConcurrentReadersDuringUpdateStorm(t *testing.T) {
 	}
 
 	// Quiesce, then cross-check reader state against the writer's table:
-	// the published snapshot must be byte-identical to the compressed
-	// table, and the underlying system's own invariants must hold.
+	// the published snapshot must be byte-identical to the updater's
+	// compressed table, which must still be disjoint and forward exactly
+	// as the updater's uncompressed FIB does.
 	rt.Close()
-	want := rt.sys.CompressedRoutes()
+	want := rt.upd.Table().Routes()
 	got := rt.Snapshot().Routes()
 	if len(want) != len(got) {
-		t.Fatalf("snapshot %d routes, system %d", len(got), len(want))
+		t.Fatalf("snapshot %d routes, updater %d", len(got), len(want))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("snapshot[%d] = %v, system has %v", i, got[i], want[i])
+			t.Fatalf("snapshot[%d] = %v, updater has %v", i, got[i], want[i])
 		}
 	}
-	probes := make([]ip.Addr, 0, 512)
-	for i := 0; i < 512; i++ {
-		probes = append(probes, probe(int64(i)*31))
+	if err := rt.upd.Table().VerifyDisjoint(); err != nil {
+		t.Fatalf("compressed table after storm: %v", err)
 	}
-	if err := rt.sys.Verify(probes); err != nil {
-		t.Fatalf("system invariants broken after storm: %v", err)
+	for i := 0; i < 512; i++ {
+		a := probe(int64(i) * 31)
+		wantHop, _ := rt.upd.FIB().Lookup(a, nil)
+		hop, _, ok := rt.Lookup(a)
+		if !ok {
+			hop = ip.NoRoute
+		}
+		if hop != wantHop {
+			t.Fatalf("Lookup(%s) = %d after storm, control-plane FIB says %d", a, hop, wantHop)
+		}
 	}
 }

@@ -27,9 +27,9 @@ const (
 	// sample mass the weight estimate is noise, not signal.
 	rebalanceMinSamples = 256
 	// rebalanceDecay is the per-pass EWMA factor on the aggregate weight
-	// vector: the estimate survives cache flushes and re-homings (the raw
-	// worker sketches do not — see worker.resetSketch) while still
-	// tracking a moving hot set within a few intervals. Bursty traffic
+	// vector: the estimate survives re-homings (the raw worker sketches
+	// do not — see worker.resetSketch) while still tracking a moving hot
+	// set within a few intervals. Bursty traffic
 	// makes single-interval distributions genuinely unstable, so the
 	// memory is deliberately long (~4 intervals of effective mass).
 	rebalanceDecay = 0.75
@@ -160,9 +160,9 @@ func (r *Runtime) rebalancer() {
 // when the imbalance clears the hysteresis gate and a movement-bounded
 // weighted carve (partition.CarveWeighted) strictly improves it —
 // publish the new cuts through a re-homing control publication, exactly
-// like a worker-failure recut (caches flushed, every later snapshot
-// keeps the plan). force skips the sample-mass and imbalance-threshold
-// gates (the /admin/rebalance path); a forced pass still refuses cuts
+// like a worker-failure recut (every later snapshot keeps the plan).
+// force skips the sample-mass and imbalance-threshold gates (the
+// /admin/rebalance path); a forced pass still refuses cuts
 // that do not improve the estimate. The returned result reports what
 // happened either way; the error is non-nil only for a closed runtime.
 func (r *Runtime) Rebalance(force bool) (RebalanceResult, error) {
@@ -351,8 +351,7 @@ func (r *Runtime) imbalanceOf(cuts []int, m int, total float64, nw int) float64 
 
 // submitPlan queues the control publication installing plan as the
 // writer's persistent cut plan — the same re-homing publication worker
-// health changes ride (caches flushed), so the moved ranges cannot
-// serve stale divert-cache entries under their new homes.
+// health changes ride.
 func (r *Runtime) submitPlan(plan []ip.Addr) error {
 	if r.closed.Load() {
 		return ErrClosed

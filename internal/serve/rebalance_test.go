@@ -107,9 +107,9 @@ func TestRebalanceMovesHotRange(t *testing.T) {
 
 // TestRebalanceSketchNoDoubleCount is the regression test for the
 // sketch lifecycle: a pass drains the worker sketches destructively, so
-// an immediate second pass must see zero new samples, and a cache flush
-// (what every recut publication triggers) must drop samples recorded
-// under the old cut assignment instead of re-attributing them.
+// an immediate second pass must see zero new samples, and a re-homing
+// publication (what every recut rides) must drop samples recorded under
+// the old cut assignment instead of re-attributing them.
 func TestRebalanceSketchNoDoubleCount(t *testing.T) {
 	_, routes := testRoutes(t, 1200, 21)
 	rt, err := New(routes, Config{Workers: 2})
@@ -146,16 +146,16 @@ func TestRebalanceSketchNoDoubleCount(t *testing.T) {
 		t.Fatalf("second pass re-drained %d samples with no traffic in between", r2.DrainedSamples)
 	}
 
-	// Fill the sketches again, then flush caches — the publication shape
+	// Fill the sketches again, then republish — the publication shape
 	// every recut rides. The pending samples were recorded under the old
-	// assignment and must be dropped with the caches: only post-flush
-	// traffic may be drained afterwards.
+	// assignment and must be dropped: only post-republish traffic may be
+	// drained afterwards.
 	for i := 0; i < first; i++ {
 		if _, err := rt.Dispatch(probes[i%len(probes)]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := rt.FlushCaches(); err != nil {
+	if err := rt.Republish(); err != nil {
 		t.Fatal(err)
 	}
 	const after = 80
@@ -169,10 +169,10 @@ func TestRebalanceSketchNoDoubleCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Generous slack (one pending sample per worker) on top of the
-	// post-flush recording budget; the pre-flush ~first/8 samples blow
-	// way past it if the flush failed to reset the sketches.
+	// post-republish recording budget; the earlier ~first/8 samples blow
+	// way past it if the publication failed to reset the sketches.
 	if max := uint64(after/sketchSamplePeriod + len(rt.workers)); r3.DrainedSamples > max {
-		t.Fatalf("post-flush pass drained %d samples, want <= %d: cache flush did not reset the sketch (recut would double-count moved ranges)",
+		t.Fatalf("post-republish pass drained %d samples, want <= %d: the re-homing publication did not reset the sketch (recut would double-count moved ranges)",
 			r3.DrainedSamples, max)
 	}
 }

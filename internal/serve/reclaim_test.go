@@ -46,6 +46,13 @@ func TestEpochReclamationUnderChurn(t *testing.T) {
 					// Escaped handle: it pins an epoch only while being
 					// taken, then must stay readable indefinitely even
 					// after the writer has moved many versions ahead.
+					// Rare, because an escaped arena is never recycled: at
+					// one escape per few reader ops every arena escapes and
+					// nothing is recycled underneath the readers at all.
+					if rnd.Intn(256) != 0 {
+						rt.Lookup(ip.Addr(rnd.Uint32()))
+						continue
+					}
 					s := rt.Snapshot()
 					s.Lookup(ip.Addr(rnd.Uint32()))
 				default:

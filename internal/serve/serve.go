@@ -9,11 +9,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clue/internal/core"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
 	"clue/internal/tracegen"
-	"clue/internal/update"
+	"clue/internal/trie"
+	"clue/internal/ttf"
 )
 
 // ErrClosed is returned by Dispatch/Announce/Withdraw after Close.
@@ -21,15 +21,10 @@ import (
 // are never cut off.)
 var ErrClosed = errors.New("serve: runtime closed")
 
-// SystemConfig aliases the underlying core system's Config, so service
-// callers configure TCAM/bucket/DRed parameters without importing
-// internal/core themselves.
-type SystemConfig = core.Config
-
 // Config parameterises a Runtime. Zero values take serving defaults.
 type Config struct {
-	// Workers is the number of partition worker goroutines (default: the
-	// underlying system's TCAM count, i.e. 4).
+	// Workers is the number of partition worker goroutines (default 4,
+	// the paper's TCAM count).
 	Workers int
 	// QueueDepth bounds each worker's request queue (default 256, the
 	// paper's FIFO depth). A full home queue diverts to the least-loaded
@@ -41,9 +36,6 @@ type Config struct {
 	// BatchMax caps how many queued ops the writer coalesces into one
 	// snapshot swap (default 64).
 	BatchMax int
-	// CacheSize is each worker's DRed-analog cache capacity (default
-	// 1024, the paper's DRed size; 0 keeps the struct but caches nothing).
-	CacheSize int
 	// EnqueueTimeout bounds how long a dispatch may wait for any
 	// eligible worker queue to accept it before failing with
 	// ErrEnqueueTimeout (default 1s). Together with EnqueueRetries it
@@ -64,8 +56,6 @@ type Config struct {
 	// RebalanceConfig; the zero value leaves periodic rebalancing off,
 	// with manual Runtime.Rebalance calls still available).
 	Rebalance RebalanceConfig
-	// System configures the underlying core.System.
-	System core.Config
 }
 
 // validate rejects configurations withDefaults would silently accept:
@@ -80,7 +70,6 @@ func (c Config) validate() error {
 		{"QueueDepth", c.QueueDepth},
 		{"UpdateQueue", c.UpdateQueue},
 		{"BatchMax", c.BatchMax},
-		{"CacheSize", c.CacheSize},
 		{"EnqueueRetries", c.EnqueueRetries},
 	} {
 		if f.v < 0 {
@@ -98,11 +87,7 @@ func (c Config) validate() error {
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
-		if c.System.TCAMs != 0 {
-			c.Workers = c.System.TCAMs
-		} else {
-			c.Workers = 4
-		}
+		c.Workers = 4
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
@@ -112,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchMax == 0 {
 		c.BatchMax = 64
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 1024
 	}
 	if c.EnqueueTimeout == 0 {
 		c.EnqueueTimeout = time.Second
@@ -163,18 +145,15 @@ type updateOp struct {
 }
 
 type opResult struct {
-	ttf update.TTF
+	ttf ttf.TTF
 	err error
 }
 
-// writerScratch holds the writer goroutine's reusable per-batch buffers.
-// All of them are owned exclusively by the writer; anything a published
-// snapshot must keep (the stale list) is copied out at exact size so the
-// scratch capacity survives the batch.
+// writerScratch holds the writer goroutine's reusable per-batch buffers,
+// all owned exclusively by the writer.
 type writerScratch struct {
 	batch   []updateOp
 	results []opResult
-	stale   []ip.Prefix
 	// insLast/delLast collect the last addresses of routes the batch
 	// inserted into / deleted from the sorted mirror; sorted, they feed
 	// the stride-index patch on the next snapshot.
@@ -211,18 +190,19 @@ type retiredSnap struct {
 // snapshot; a couple more absorb reclamation lag under reader bursts.
 const arenaPoolMax = 3
 
-// Runtime is the concurrent forwarding service around a core.System.
+// Runtime is the concurrent forwarding service over an ONRTC-compressed
+// table.
 //
 // Reads are RCU-style: the compressed table lives in an immutable
 // Snapshot behind an atomic pointer, so Lookup and the partition workers
 // never take a lock and never block updates. Writes are single-writer:
-// one goroutine owns the core.System (satisfying its concurrency
-// contract), drains the bounded update queue in batches, applies each op
-// through the full trie → TCAM → DRed pipeline with TTF accounting, and
-// publishes the next snapshot with one atomic store.
+// one goroutine owns the onrtc.Updater, drains the bounded update queue
+// in batches, applies each op's compressed-table diff to its sorted
+// mirror, prices it with the paper's TTF bound (ttf.CostModel.CLUEBound),
+// and publishes the next snapshot with one atomic store.
 type Runtime struct {
 	cfg Config
-	sys *core.System // owned by the writer goroutine after New
+	upd *onrtc.Updater // owned by the writer goroutine after New
 	// table is the writer's sorted mirror of the compressed table,
 	// maintained incrementally from diff ops so a snapshot swap is a
 	// memcpy instead of a full trie walk — the O(1)-update property of
@@ -268,8 +248,8 @@ type Runtime struct {
 	workersWG  sync.WaitGroup
 }
 
-// New compresses routes, builds the underlying core.System, publishes
-// snapshot version 1 and starts the writer and worker goroutines.
+// New compresses routes, publishes snapshot version 1 and starts the
+// writer and worker goroutines.
 func New(routes []ip.Route, cfg Config) (*Runtime, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -278,18 +258,18 @@ func New(routes []ip.Route, cfg Config) (*Runtime, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("serve: Workers must be >= 1, got %d", cfg.Workers)
 	}
-	sys, err := core.New(routes, cfg.System)
-	if err != nil {
-		return nil, err
+	if len(routes) == 0 {
+		return nil, errors.New("serve: empty routing table")
 	}
-	base := sys.CompressedRoutes()
+	upd := onrtc.BuildUpdater(trie.FromRoutes(routes))
+	base := upd.Table().Routes()
 	// Headroom on the sorted mirror keeps the insert fast path from
 	// reallocating for the first batches of an update storm.
 	table := make([]ip.Route, len(base), len(base)+len(base)/8+64)
 	copy(table, base)
 	r := &Runtime{
 		cfg:   cfg,
-		sys:   sys,
+		upd:   upd,
 		table: table,
 		ws: writerScratch{
 			batch:   make([]updateOp, 0, cfg.BatchMax),
@@ -301,13 +281,12 @@ func New(routes []ip.Route, cfg Config) (*Runtime, error) {
 	r.ep = newEpochs()
 	r.m.initHistograms(cfg.Workers)
 	r.m.peakRoutes.Store(int64(len(base)))
-	first := newSnapshot(1, sys.CompressedRoutes(), cfg.Workers, nil)
+	first := newSnapshot(1, base, cfg.Workers)
 	first.ar.refs = 1
 	r.snap.Store(first)
 	r.workers = make([]*worker, cfg.Workers)
 	for i := range r.workers {
 		r.workers[i] = newWorker(i, r)
-		r.workers[i].cacheVersion = 1
 		r.workersWG.Add(1)
 		go r.workers[i].run()
 	}
@@ -392,10 +371,10 @@ func (r *Runtime) LookupBatch(addrs []ip.Addr, out []LookupResult) ([]LookupResu
 // Dispatch routes the lookup to its home partition worker over a bounded
 // queue, mirroring the paper's Indexing Logic. A full home queue — or a
 // failed/draining home worker — diverts the request to the least-loaded
-// healthy worker (Adaptive Load Balancing Logic), where the worker's
-// DRed-analog cache may answer it. Dispatch blocks until the request is
-// served, bounded by the enqueue retry/timeout budget: a wedged runtime
-// yields ErrEnqueueTimeout (or ErrNoHealthyWorkers), never a hang.
+// healthy worker (Adaptive Load Balancing Logic), which answers it from
+// the same shared snapshot. Dispatch blocks until the request is served,
+// bounded by the enqueue retry/timeout budget: a wedged runtime yields
+// ErrEnqueueTimeout (or ErrNoHealthyWorkers), never a hang.
 func (r *Runtime) Dispatch(addr ip.Addr) (Result, error) {
 	if r.closed.Load() {
 		return Result{}, ErrClosed
@@ -423,12 +402,9 @@ func (r *Runtime) Dispatch(addr ip.Addr) (Result, error) {
 	putDone(done)
 	if sampled {
 		ns := time.Since(start).Nanoseconds()
-		switch {
-		case res.CacheHit:
-			r.m.dispatchCacheHit.record(res.Worker, ns)
-		case res.Diverted:
+		if res.Diverted {
 			r.m.dispatchDivert.record(res.Worker, ns)
-		default:
+		} else {
 			r.m.dispatchHome.record(res.Worker, ns)
 		}
 	}
@@ -596,7 +572,7 @@ func (r *Runtime) enqueue(req lookupReq) error {
 		if !homeHealthy {
 			// Home is down and the locality-preferred divert target (if
 			// any) could not accept. leastLoaded skips empty-range
-			// cold-cache workers, so before backing off — and before
+			// workers, so before backing off — and before
 			// declaring the runtime dead — fall back to ANY healthy worker
 			// with queue space. (This arm used to be reachable only when
 			// leastLoaded found no target at all, so a full divert queue
@@ -670,10 +646,10 @@ func (r *Runtime) leastLoaded(home int) int {
 		if !w.healthy() {
 			continue
 		}
-		// A worker with a zero-width home range and a cold cache has no
-		// locality to offer a diverted lookup; skip it so tiny tables
-		// don't shed load onto permanently-idle partitions.
-		if snap.emptyHome(i) && w.cached.Load() == 0 {
+		// A worker with a zero-width home range has no locality to offer
+		// a diverted lookup; skip it so tiny tables don't shed load onto
+		// permanently-idle partitions.
+		if snap.emptyHome(i) {
 			continue
 		}
 		if l := len(w.queue); l < bestLen {
@@ -686,24 +662,24 @@ func (r *Runtime) leastLoaded(home int) int {
 // Announce queues a route announcement and blocks until the writer has
 // applied it and published the snapshot that contains it: when Announce
 // returns, every subsequent Lookup/Dispatch sees the new route.
-func (r *Runtime) Announce(p ip.Prefix, hop ip.NextHop) (update.TTF, error) {
+func (r *Runtime) Announce(p ip.Prefix, hop ip.NextHop) (ttf.TTF, error) {
 	return r.submit(updateOp{kind: tracegen.Announce, pfx: p, hop: hop})
 }
 
 // Withdraw queues a route withdrawal with the same visibility guarantee
 // as Announce. Withdrawing an absent prefix is a no-op.
-func (r *Runtime) Withdraw(p ip.Prefix) (update.TTF, error) {
+func (r *Runtime) Withdraw(p ip.Prefix) (ttf.TTF, error) {
 	return r.submit(updateOp{kind: tracegen.Withdraw, pfx: p})
 }
 
-func (r *Runtime) submit(op updateOp) (update.TTF, error) {
+func (r *Runtime) submit(op updateOp) (ttf.TTF, error) {
 	if r.closed.Load() {
-		return update.TTF{}, ErrClosed
+		return ttf.TTF{}, ErrClosed
 	}
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	if r.closed.Load() {
-		return update.TTF{}, ErrClosed
+		return ttf.TTF{}, ErrClosed
 	}
 	op.done = make(chan opResult, 1)
 	r.updates <- op
@@ -722,10 +698,11 @@ func maxInt64(a *atomic.Int64, v int64) {
 	}
 }
 
-// writer is the single goroutine that owns the core.System. It coalesces
-// queued ops into batches (up to BatchMax), applies them through the
-// update pipeline, swaps the snapshot and only then completes the ops —
-// so a completed op is by construction visible to readers.
+// writer is the single goroutine that owns the onrtc.Updater. It
+// coalesces queued ops into batches (up to BatchMax), applies them to the
+// updater and the sorted mirror, swaps the snapshot and only then
+// completes the ops — so a completed op is by construction visible to
+// readers.
 func (r *Runtime) writer() {
 	defer close(r.writerDone)
 	for op := range r.updates {
@@ -747,16 +724,15 @@ func (r *Runtime) writer() {
 	}
 }
 
-// applyBatch runs one batch through the pipeline and publishes the
+// applyBatch runs one batch through the updater and publishes the
 // resulting snapshot. Control (rehome) ops contribute no route change
-// but force the publication to flush worker caches; every publication —
-// ctl or not — recuts the partition bounds from the live worker health
-// states, so a batch racing a failure re-homes on its own. A batch that
-// changed nothing (and carried no ctl op) publishes no snapshot at all.
+// but force a publication; every publication — ctl or not — recuts the
+// partition bounds from the live worker health states, so a batch racing
+// a failure re-homes on its own. A batch that changed nothing (and
+// carried no ctl op) publishes no snapshot at all.
 func (r *Runtime) applyBatch(batch []updateOp) {
 	start := time.Now()
 	results := r.ws.results[:0]
-	stale := r.ws.stale[:0]
 	r.ws.insLast = r.ws.insLast[:0]
 	r.ws.delLast = r.ws.delLast[:0]
 	r.ws.hopPatches = r.ws.hopPatches[:0]
@@ -772,16 +748,19 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 			continue
 		}
 		var (
-			ttf  update.TTF
 			diff onrtc.Diff
 			err  error
 		)
 		switch op.kind {
 		case tracegen.Announce:
-			ttf, diff, err = r.sys.AnnounceDiff(op.pfx, op.hop)
+			if op.hop == ip.NoRoute {
+				err = fmt.Errorf("serve: announce %s: next hop must be non-zero", op.pfx)
+			} else {
+				diff = r.upd.Announce(op.pfx, op.hop)
+			}
 			r.m.announces.Add(1)
 		case tracegen.Withdraw:
-			ttf, diff, err = r.sys.WithdrawDiff(op.pfx)
+			diff = r.upd.Withdraw(op.pfx)
 			r.m.withdraws.Add(1)
 		default:
 			err = fmt.Errorf("serve: unknown update kind %v", op.kind)
@@ -789,31 +768,26 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 		if err != nil {
 			r.m.updateErrors.Add(1)
 		}
-		results = append(results, opResult{ttf: ttf, err: err})
-		r.m.ttfTrie.add(ttf.Trie)
-		r.m.ttfTCAM.add(ttf.TCAM)
-		r.m.ttfDRed.add(ttf.DRed)
+		// TTF is the paper's cost model over the diff, not a simulated
+		// chip's count (DESIGN.md, Known deviations).
+		cost := ttf.DefaultCosts().CLUEBound(diff)
+		results = append(results, opResult{ttf: cost, err: err})
+		r.m.ttfTrie.add(cost.Trie)
+		r.m.ttfTCAM.add(cost.TCAM)
+		r.m.ttfDRed.add(cost.DRed)
 		if err == nil {
 			// Per-op TTF distributions (successful ops only — an errored
 			// op's zero TTF would just pile mass into the low buckets).
-			r.m.ttf1Lat.record(0, int64(ttf.Trie))
-			r.m.ttf2Lat.record(0, int64(ttf.TCAM))
-			r.m.ttf3Lat.record(0, int64(ttf.DRed))
+			r.m.ttf1Lat.record(0, int64(cost.Trie))
+			r.m.ttf2Lat.record(0, int64(cost.TCAM))
+			r.m.ttf3Lat.record(0, int64(cost.DRed))
 		}
 		if len(diff.Ops) > 0 {
 			changed = true
 		}
-		// Deleted or modified compressed prefixes are what worker caches
-		// may hold stale; inserts are brand new and cannot be cached.
-		for _, dop := range diff.Ops {
-			if dop.Kind == onrtc.OpDelete || dop.Kind == onrtc.OpModify {
-				stale = append(stale, dop.Route.Prefix)
-			}
-		}
 		r.applyDiffToTable(diff.Ops)
 	}
 	r.ws.results = results
-	r.ws.stale = stale
 	r.m.batches.Add(1)
 	r.m.batchOps.Add(int64(len(batch)))
 	// Writer-owned peaks: plain store is fine, nobody else raises them.
@@ -828,8 +802,8 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 		// table (all-error ops, withdraw-of-absent, re-announce of an
 		// identical route) and requested no recut: publishing would memcpy
 		// the whole table and bump the version for a byte-identical
-		// snapshot, pushing every worker through a pointless cache sync.
-		// Complete the ops against the already-current snapshot instead.
+		// snapshot. Complete the ops against the already-current snapshot
+		// instead.
 		r.m.noopBatches.Add(1)
 		r.m.swapNs.add(float64(time.Since(start).Nanoseconds()))
 		for i := range batch {
@@ -837,20 +811,13 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 		}
 		return
 	}
-	// The snapshot owns its stale list; hand it an exact-size copy so the
-	// scratch slice stays reusable across batches.
-	var staleOut []ip.Prefix
-	if len(stale) > 0 {
-		staleOut = append(make([]ip.Prefix, 0, len(stale)), stale...)
-	}
 	slices.Sort(r.ws.insLast)
 	slices.Sort(r.ws.delLast)
-	prev := r.snap.Load()
-	r.publish(prev, staleOut, rehome)
+	r.publish(r.snap.Load())
 	if rehome {
 		r.m.rehomes.Add(1)
-		// The flush publication invalidates the sketches along with the
-		// caches (see worker.resetSketch).
+		// Samples taken under the old cuts must not feed the next recut
+		// decision (see worker.resetSketch).
 		for _, w := range r.workers {
 			w.resetSketch()
 		}
@@ -879,7 +846,7 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 //
 // After the swap the writer advances the epoch clock, retires prev and
 // reclaims whatever retirees every reader has provably moved past.
-func (r *Runtime) publish(prev *Snapshot, stale []ip.Prefix, rehome bool) {
+func (r *Runtime) publish(prev *Snapshot) {
 	version := prev.Version + 1
 	structural := len(r.ws.insLast) + len(r.ws.delLast)
 	var next *Snapshot
@@ -888,13 +855,13 @@ func (r *Runtime) publish(prev *Snapshot, stale []ip.Prefix, rehome bool) {
 		for _, p := range r.ws.hopPatches {
 			atomic.StoreUint32(&prev.ar.hop[p.pos], p.hop)
 		}
-		next = prev.clonePatched(version, r.cfg.Workers, stale, r.downMask(), r.cutPlan, rehome)
+		next = prev.clonePatched(version, r.cfg.Workers, r.downMask(), r.cutPlan)
 		r.m.inPlacePatches.Add(1)
 	default:
 		ar := r.takeArena(len(r.table))
 		rng, hop := ar.routeSlabs(len(r.table))
 		fillSlabs(rng, hop, r.table)
-		next = shellOnArena(ar, version, r.cfg.Workers, stale, r.downMask(), r.cutPlan, rehome)
+		next = shellOnArena(ar, version, r.cfg.Workers, r.downMask(), r.cutPlan)
 		switch {
 		case len(r.table) < strideMinRoutes:
 			// Small table: binary-search fallback needs no index.
@@ -976,7 +943,7 @@ func (r *Runtime) reclaim() {
 // and node-chasing a full re-export would cost per batch. Structural
 // changes (real inserts and deletes) are recorded in the writer scratch
 // for the stride-index patch. The serve tests cross-check the mirror
-// against core.CompressedRoutes after churn.
+// against the updater's table after churn.
 func (r *Runtime) applyDiffToTable(ops []onrtc.Op) {
 	for _, op := range ops {
 		p := op.Route.Prefix
@@ -1100,10 +1067,6 @@ func (r *Runtime) Stats() Stats {
 		DispatchBatches:    r.m.dispatchBatches.Load(),
 		Diverted:           r.m.diverted.Load(),
 		OverflowBlocked:    r.m.overflowBlocked.Load(),
-		CacheHits:          r.m.cacheHits.Load(),
-		CacheMisses:        r.m.cacheMisses.Load(),
-		CacheFlushes:       r.m.cacheFlushes.Load(),
-		CacheInvalidations: r.m.cacheInvalid.Load(),
 		WorkerServed:       make([]int64, len(r.workers)),
 		Announces:          r.m.announces.Load(),
 		Withdraws:          r.m.withdraws.Load(),
@@ -1116,7 +1079,7 @@ func (r *Runtime) Stats() Stats {
 		PeakRoutes:         r.m.peakRoutes.Load(),
 		PeakPendingUpdates: r.m.peakPending.Load(),
 		PeakBatchOps:       r.m.peakBatchOps.Load(),
-		TTFTotals: update.TTF{
+		TTFTotals: ttf.TTF{
 			Trie: r.m.ttfTrie.load(),
 			TCAM: r.m.ttfTCAM.load(),
 			DRed: r.m.ttfDRed.load(),
@@ -1140,7 +1103,6 @@ func (r *Runtime) Stats() Stats {
 			SnapshotLookup:   r.m.lookupLat.summary(),
 			DispatchHome:     r.m.dispatchHome.summary(),
 			DispatchDiverted: r.m.dispatchDivert.summary(),
-			DispatchCacheHit: r.m.dispatchCacheHit.summary(),
 			DispatchBatch:    r.m.dispatchBatchLat.summary(),
 			TTFTrie:          r.m.ttf1Lat.summary(),
 			TTFTCAM:          r.m.ttf2Lat.summary(),

@@ -150,25 +150,10 @@ func TestDispatchDivertsOffFullQueue(t *testing.T) {
 	if !res.Diverted || res.Worker == 0 || res.Home != 0 {
 		t.Fatalf("expected divert off worker 0, got %+v", res)
 	}
-	if res.CacheHit {
-		t.Fatalf("first divert cannot be a cache hit: %+v", res)
-	}
 	if res.Found != (want != ip.NoRoute) || (res.Found && res.Hop != want) {
 		t.Fatalf("diverted answer %+v, want hop %d", res, want)
 	}
-
-	// The serving worker cached the foreign prefix (reduced-redundancy
-	// fill), so a repeat divert of the same flow hits the cache.
-	res2, err := rt.Dispatch(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Diverted || !res2.CacheHit || res2.Hop != res.Hop {
-		t.Fatalf("expected cached divert, got %+v", res2)
-	}
-
-	st := rt.Stats()
-	if st.Diverted != 2 || st.CacheHits != 1 || st.CacheMisses != 1 {
+	if st := rt.Stats(); st.Diverted != 1 {
 		t.Fatalf("divert accounting: %+v", st)
 	}
 }
@@ -217,14 +202,14 @@ func TestUpdateBatching(t *testing.T) {
 		t.Fatalf("version %d != 1+(batches %d - noop %d)", st.SnapshotVersion, st.Batches, st.NoopBatches)
 	}
 	// The published snapshot must equal the writer-owned table exactly.
-	want := rt.sys.CompressedRoutes()
+	want := rt.upd.Table().Routes()
 	got := rt.Snapshot().Routes()
 	if len(want) != len(got) {
-		t.Fatalf("snapshot has %d routes, system %d", len(got), len(want))
+		t.Fatalf("snapshot has %d routes, updater %d", len(got), len(want))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("snapshot[%d] = %v, system %v", i, got[i], want[i])
+			t.Fatalf("snapshot[%d] = %v, updater %v", i, got[i], want[i])
 		}
 	}
 }
@@ -313,9 +298,9 @@ func TestRuntimeLookupBatch(t *testing.T) {
 
 // TestTinyTableDivertSkipsEmptyWorkers is the regression for the load
 // balancer on tables smaller than the worker count: with 2 routes and 4
-// workers, workers 2 and 3 have zero-width home ranges and cold caches,
-// so a divert off worker 0's full queue must land on worker 1 — never on
-// a worker that can contribute neither locality nor cached answers.
+// workers, workers 2 and 3 have zero-width home ranges, so a divert off
+// worker 0's full queue must land on worker 1 — never on a worker that
+// has no locality to contribute.
 func TestTinyTableDivertSkipsEmptyWorkers(t *testing.T) {
 	routes := []ip.Route{
 		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
@@ -324,7 +309,6 @@ func TestTinyTableDivertSkipsEmptyWorkers(t *testing.T) {
 	rt, err := New(routes, Config{
 		Workers:    4,
 		QueueDepth: 1,
-		System:     SystemConfig{TCAMs: 2, Buckets: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +342,7 @@ func TestTinyTableDivertSkipsEmptyWorkers(t *testing.T) {
 			t.Fatalf("dispatch %d not diverted: %+v", i, res)
 		}
 		if res.Worker != 1 {
-			t.Fatalf("dispatch %d diverted to worker %d (empty range, cold cache), want 1", i, res.Worker)
+			t.Fatalf("dispatch %d diverted to worker %d (empty range), want 1", i, res.Worker)
 		}
 		if !res.Found || res.Hop != 1 {
 			t.Fatalf("dispatch %d wrong answer: %+v", i, res)
@@ -366,6 +350,52 @@ func TestTinyTableDivertSkipsEmptyWorkers(t *testing.T) {
 	}
 	if ll := rt.leastLoaded(0); ll != 1 {
 		t.Fatalf("leastLoaded(0) = %d, want 1", ll)
+	}
+}
+
+// TestTinyTableDefaultConfig: a FIB far smaller than any bucket count
+// serves under the zero Config. (While the writer drove a simulated line
+// card, New refused any table with fewer than 32 compressed entries.)
+func TestTinyTableDefaultConfig(t *testing.T) {
+	routes := []ip.Route{
+		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
+		{Prefix: ip.MustParsePrefix("10.1.0.0/16"), NextHop: 2},
+		{Prefix: ip.MustParsePrefix("192.168.0.0/16"), NextHop: 3},
+	}
+	rt, err := New(routes, Config{})
+	if err != nil {
+		t.Fatalf("New on a 3-route FIB: %v", err)
+	}
+	defer rt.Close()
+	check := func(addr string, want ip.NextHop) {
+		t.Helper()
+		a := ip.MustParseAddr(addr)
+		hop, _, ok := rt.Lookup(a)
+		if ok != (want != ip.NoRoute) || hop != want {
+			t.Fatalf("Lookup(%s) = %d,%v want %d", addr, hop, ok, want)
+		}
+		res, err := rt.Dispatch(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Found != (want != ip.NoRoute) || res.Hop != want {
+			t.Fatalf("Dispatch(%s) = %+v want %d", addr, res, want)
+		}
+	}
+	check("10.1.2.3", 2)
+	check("10.2.0.1", 1)
+	check("172.16.0.1", ip.NoRoute)
+	if _, err := rt.Announce(ip.MustParsePrefix("172.16.0.0/12"), 4); err != nil {
+		t.Fatal(err)
+	}
+	check("172.16.0.1", 4)
+	if _, err := rt.Withdraw(ip.MustParsePrefix("10.1.0.0/16")); err != nil {
+		t.Fatal(err)
+	}
+	check("10.1.2.3", 1)
+
+	if _, err := New(nil, Config{}); err == nil {
+		t.Fatal("New accepted an empty routing table")
 	}
 }
 
@@ -477,7 +507,6 @@ func TestStatsPrometheusRendering(t *testing.T) {
 		"# TYPE clue_serve_snapshot_lookup_latency_ns histogram",
 		"# TYPE clue_serve_dispatch_home_latency_ns histogram",
 		"# TYPE clue_serve_dispatch_diverted_latency_ns histogram",
-		"# TYPE clue_serve_dispatch_cache_hit_latency_ns histogram",
 		"# TYPE clue_serve_dispatch_batch_latency_ns histogram",
 		"# TYPE clue_serve_snapshot_swap_latency_ns histogram",
 		"# TYPE clue_serve_queue_depth histogram",

@@ -1,7 +1,9 @@
-// Package serve turns the single-threaded CLUE system into a concurrent
+// Package serve turns the ONRTC-compressed table into a concurrent
 // forwarding service — the software analog of the paper's line card.
 //
-// The design maps the paper's hardware onto Go concurrency primitives:
+// The design maps the paper's hardware onto Go concurrency primitives,
+// and stops where the hardware's constraints stop applying: there are no
+// simulated chips and no DRed here (DESIGN.md, Known deviations):
 //
 //   - The compressed table is published as an immutable Snapshot behind
 //     an atomic.Pointer (RCU style). Readers never lock, never retry and
@@ -10,16 +12,16 @@
 //     of a handful of candidate routes, with no priority tie-break.
 //   - A single writer goroutine plays the control plane: it drains a
 //     bounded channel of announce/withdraw ops, applies them in batches
-//     through the core pipeline (trie → TCAM diff → DRed) and atomically
-//     swaps in the next snapshot, recording per-batch TTF1/TTF2/TTF3.
+//     through the ONRTC updater and atomically swaps in the next
+//     snapshot, pricing each op's diff as the paper's TTF1/TTF2/TTF3.
 //     Snapshot bulk data lives in per-snapshot arenas recycled through
 //     epoch-based reclamation (epoch.go), so steady-state publication
 //     allocates almost nothing.
 //   - N partition worker goroutines mirror the N TCAM chips. The range
 //     index (Snapshot.Home) dispatches each lookup to its home worker
 //     over a bounded queue; a full queue diverts the lookup to the
-//     least-loaded worker, whose DRed-analog cache absorbs it — the
-//     paper's adaptive load balancer as real goroutines and channels.
+//     least-loaded worker, which reads the same snapshot — the paper's
+//     adaptive load balancer as real goroutines and channels.
 package serve
 
 import (
@@ -64,19 +66,8 @@ type Snapshot struct {
 	starts []ip.Addr
 	// empty[i] marks workers whose home range is zero-width (more
 	// workers than routes). Home never returns them and the load
-	// balancer will not divert to them while their caches are cold.
+	// balancer will not divert to them.
 	empty []bool
-	// stale lists the compressed prefixes deleted or modified by the
-	// batch that produced this snapshot. Workers one version behind use
-	// it to fix their caches with targeted invalidations instead of a
-	// full flush.
-	stale []ip.Prefix
-	// flushCaches forces every worker to reset its DRed-analog cache on
-	// this snapshot instead of taking the targeted-invalidation shortcut.
-	// Set on re-homed snapshots: the partition bounds moved, so cached
-	// foreign prefixes may now be home prefixes (and vice versa) and the
-	// stale list cannot describe the change.
-	flushCaches bool
 	// hashVal/hashKnown cache CanonicalHash: the digest is O(routes), so
 	// it is computed on first demand and memoised per snapshot (hashVal
 	// is published before hashKnown; a racing second computation writes
@@ -116,41 +107,12 @@ func fillSlabs(rng []uint64, hop []uint32, routes []ip.Route) {
 }
 
 // newSnapshot builds a snapshot over routes (which must be sorted
-// ascending and disjoint — the order core.CompressedRoutes guarantees)
-// on a fresh arena, including the two-level index for tables above
+// ascending and disjoint — the order onrtc.Table.Routes guarantees) on a
+// fresh arena, including the two-level index for tables above
 // strideMinRoutes.
-func newSnapshot(version uint64, routes []ip.Route, workers int, stale []ip.Prefix) *Snapshot {
-	s := snapshotShell(version, routes, workers, stale, nil, nil)
+func newSnapshot(version uint64, routes []ip.Route, workers int) *Snapshot {
+	s := snapshotShell(version, routes, workers, nil, nil)
 	if len(routes) >= strideMinRoutes {
-		s.index = buildIndexInto(s.ar, s.rng)
-	}
-	return s
-}
-
-// newSnapshotFrom builds the successor of prev after a batch, for
-// callers outside the writer's arena-recycling loop (tests, ad-hoc
-// construction). When the batch made few structural changes the
-// previous snapshot's index is patched in O(buckets) instead of rebuilt
-// from the table; insLast and delLast must be the ascending last
-// addresses of the routes the batch inserted into and deleted from
-// prev's table. down marks workers excluded from the partition recut
-// (nil when all are healthy); plan carries rebalancer-proposed cut
-// addresses (nil for the even count split); flush marks the snapshot
-// as cache-flushing (set for re-homed publications).
-func newSnapshotFrom(prev *Snapshot, version uint64, routes []ip.Route, workers int, stale []ip.Prefix, insLast, delLast []ip.Addr, down []bool, plan []ip.Addr, flush bool) *Snapshot {
-	s := snapshotShell(version, routes, workers, stale, down, plan)
-	s.flushCaches = flush
-	switch {
-	case len(routes) < strideMinRoutes:
-		// Small table: binary-search fallback needs no index.
-	case prev != nil && !prev.index.empty() && len(insLast)+len(delLast) == 0:
-		// Pure control publication (re-home, hop change): table positions
-		// are untouched, so the index is shared as-is — a re-home costs
-		// partition cut points only, never an index copy.
-		s.index = prev.index
-	case prev != nil && !prev.index.empty() && len(insLast)+len(delLast) <= stridePatchMax:
-		s.index = patchIndexInto(s.ar, prev.index, s.rng, insLast, delLast, len(routes))
-	default:
 		s.index = buildIndexInto(s.ar, s.rng)
 	}
 	return s
@@ -159,11 +121,11 @@ func newSnapshotFrom(prev *Snapshot, version uint64, routes []ip.Route, workers 
 // snapshotShell builds everything but the index: a fresh arena holding
 // the struct-of-arrays table, and the partition range index with its
 // cut points.
-func snapshotShell(version uint64, routes []ip.Route, workers int, stale []ip.Prefix, down []bool, plan []ip.Addr) *Snapshot {
+func snapshotShell(version uint64, routes []ip.Route, workers int, down []bool, plan []ip.Addr) *Snapshot {
 	ar := newArena(len(routes))
 	rng, hop := ar.routeSlabs(len(routes))
 	fillSlabs(rng, hop, routes)
-	return shellOnArena(ar, version, workers, stale, down, plan, false)
+	return shellOnArena(ar, version, workers, down, plan)
 }
 
 // shellOnArena builds a snapshot over ar's already-filled route slabs:
@@ -173,18 +135,18 @@ func snapshotShell(version uint64, routes []ip.Route, workers int, stale []ip.Pr
 // exactly evenly across the survivors — the disjoint table makes this a
 // pure boundary move, no reordering. plan, when non-nil, carries the
 // rebalancer's weighted cut addresses (see cutPartitions).
-func shellOnArena(ar *arena, version uint64, workers int, stale []ip.Prefix, down []bool, plan []ip.Addr, flush bool) *Snapshot {
-	s := &Snapshot{Version: version, ar: ar, rng: ar.rng, hop: ar.hop, stale: stale, flushCaches: flush}
+func shellOnArena(ar *arena, version uint64, workers int, down []bool, plan []ip.Addr) *Snapshot {
+	s := &Snapshot{Version: version, ar: ar, rng: ar.rng, hop: ar.hop}
 	s.cutPartitions(workers, down, plan)
 	return s
 }
 
 // clonePatched builds the successor of s for a publication that changed
 // no table positions (hop-only batches, re-homes): the arena and index
-// are shared outright and only the snapshot shell — version, stale
-// list, partition cuts — is new.
-func (s *Snapshot) clonePatched(version uint64, workers int, stale []ip.Prefix, down []bool, plan []ip.Addr, flush bool) *Snapshot {
-	n := &Snapshot{Version: version, ar: s.ar, rng: s.rng, hop: s.hop, index: s.index, stale: stale, flushCaches: flush}
+// are shared outright and only the snapshot shell — version and
+// partition cuts — is new.
+func (s *Snapshot) clonePatched(version uint64, workers int, down []bool, plan []ip.Addr) *Snapshot {
+	n := &Snapshot{Version: version, ar: s.ar, rng: s.rng, hop: s.hop, index: s.index}
 	n.cutPartitions(workers, down, plan)
 	return n
 }
@@ -345,9 +307,9 @@ func (s *Snapshot) IndexBytes() int { return s.index.bytes() }
 func (s *Snapshot) SubArrays() int { return s.index.subCount() }
 
 // HeapBytes approximates the snapshot's heap footprint: the arena slabs
-// plus the partition and stale side arrays.
+// plus the partition side arrays.
 func (s *Snapshot) HeapBytes() int {
-	return s.ar.bytes() + len(s.starts)*4 + len(s.empty) + len(s.stale)*8
+	return s.ar.bytes() + len(s.starts)*4 + len(s.empty)
 }
 
 // route materializes entry k (whose packed range is e) as a hit.

@@ -24,7 +24,7 @@ func testRoutes(t testing.TB, n int, seed int64) (*trie.Trie, []ip.Route) {
 func TestSnapshotLookupMatchesFIB(t *testing.T) {
 	fib, _ := testRoutes(t, 4000, 11)
 	table := onrtc.Compress(fib)
-	snap := newSnapshot(1, table.Routes(), 4, nil)
+	snap := newSnapshot(1, table.Routes(), 4)
 	if snap.Len() != table.Len() {
 		t.Fatalf("snapshot has %d routes, table %d", snap.Len(), table.Len())
 	}
@@ -44,7 +44,7 @@ func TestSnapshotLookupMatchesFIB(t *testing.T) {
 
 func TestSnapshotHomeRangeIndex(t *testing.T) {
 	fib, _ := testRoutes(t, 3000, 12)
-	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4, nil)
+	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
 	if snap.Workers() != 4 {
 		t.Fatalf("workers = %d", snap.Workers())
 	}
@@ -83,7 +83,7 @@ func TestSnapshotFewerRoutesThanWorkers(t *testing.T) {
 		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
 		{Prefix: ip.MustParsePrefix("192.168.0.0/16"), NextHop: 2},
 	}
-	snap := newSnapshot(1, routes, 8, nil)
+	snap := newSnapshot(1, routes, 8)
 	if hop, _, ok := snap.Lookup(ip.MustParseAddr("10.1.2.3")); !ok || hop != 1 {
 		t.Fatalf("lookup inside 10/8 = %d,%v", hop, ok)
 	}
@@ -98,7 +98,7 @@ func TestSnapshotFewerRoutesThanWorkers(t *testing.T) {
 }
 
 func TestSnapshotEmptyTable(t *testing.T) {
-	snap := newSnapshot(1, nil, 4, nil)
+	snap := newSnapshot(1, nil, 4)
 	if _, _, ok := snap.Lookup(ip.MustParseAddr("10.0.0.1")); ok {
 		t.Fatal("empty snapshot matched")
 	}
@@ -117,7 +117,7 @@ func TestSnapshotEmptyTable(t *testing.T) {
 // bucket cut points would bite).
 func TestSnapshotIndexedMatchesBinary(t *testing.T) {
 	fib, _ := testRoutes(t, 6000, 41)
-	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4, nil)
+	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
 	if !snap.Indexed() {
 		t.Fatalf("no stride index over %d routes", snap.Len())
 	}
@@ -160,7 +160,7 @@ func TestSnapshotIndexShortPrefixes(t *testing.T) {
 		{Prefix: ip.MustParsePrefix("17.17.1.0/24"), NextHop: 6},
 		{Prefix: ip.MustParsePrefix("128.0.0.0/1"), NextHop: 7}, // half the space
 	}
-	snap := newSnapshot(1, routes, 4, nil)
+	snap := newSnapshot(1, routes, 4)
 	snap.index = buildIndexInto(snap.ar, snap.rng) // force the index despite the tiny table
 	for _, tc := range []struct {
 		addr string
@@ -267,7 +267,7 @@ func TestStrideIndexPatchMatchesRebuild(t *testing.T) {
 // must not allocate.
 func TestSnapshotLookupZeroAllocs(t *testing.T) {
 	fib, routes := testRoutes(t, 5000, 43)
-	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4, nil)
+	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
 	if !snap.Indexed() {
 		t.Fatalf("no stride index over %d routes", snap.Len())
 	}
@@ -313,7 +313,7 @@ func TestSnapshotTinyTableCutPoints(t *testing.T) {
 		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
 		{Prefix: ip.MustParsePrefix("192.168.0.0/16"), NextHop: 2},
 	}
-	snap := newSnapshot(1, routes, 4, nil)
+	snap := newSnapshot(1, routes, 4)
 	for i, wantEmpty := range []bool{false, false, true, true} {
 		if snap.emptyHome(i) != wantEmpty {
 			t.Fatalf("worker %d empty = %v, want %v", i, snap.emptyHome(i), wantEmpty)
@@ -346,7 +346,7 @@ func TestSnapshotTinyTableCutPoints(t *testing.T) {
 
 func TestSnapshotLookupBatchMatchesSingle(t *testing.T) {
 	fib, _ := testRoutes(t, 4000, 44)
-	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4, nil)
+	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
 	rng := rand.New(rand.NewSource(44))
 	addrs := make([]ip.Addr, 777)
 	for i := range addrs {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clue/internal/dred"
 	"clue/internal/ip"
 )
 
@@ -22,9 +21,6 @@ type Result struct {
 	// Diverted reports the home queue was full and the lookup was
 	// redirected to the least-loaded worker.
 	Diverted bool
-	// CacheHit reports a diverted lookup answered from the serving
-	// worker's DRed-analog cache without touching the snapshot.
-	CacheHit bool
 	// Version is the snapshot version that answered.
 	Version uint64
 }
@@ -52,25 +48,16 @@ type lookupReq struct {
 }
 
 // worker is one partition worker goroutine — the software analog of a
-// TCAM chip with its FIFO queue and DRed partition. The cache is touched
-// only by the worker's own goroutine, so it needs no locking; snapshot
-// version changes are caught up lazily on the next request.
+// TCAM chip with its FIFO queue. Unlike a chip it holds no table of its
+// own: every worker reads the one shared snapshot, so a diverted lookup
+// is answered exactly like a home one and there is no DRed to keep.
 type worker struct {
 	id    int
 	rt    *Runtime
 	queue chan lookupReq
 	// state is the WorkerState health machine; dispatchers read it to
 	// route around draining/failed workers.
-	state atomic.Int32
-	// cache holds foreign (other-home) prefixes served on the divert
-	// path, LRU-evicted — the DRed with the reduced-redundancy fill rule.
-	cache *dred.Cache
-	// cacheVersion is the snapshot version the cache content reflects.
-	cacheVersion uint64
-	// cached mirrors cache.Len() so dispatchers can read cache occupancy
-	// without touching the worker-owned cache (the load balancer skips
-	// empty-range workers only while their caches are cold).
-	cached atomic.Int64
+	state  atomic.Int32
 	served atomic.Int64
 	// sketch counts sampled served addresses per stride bucket — the
 	// traffic-weight signal the rebalancer drains (Swap(0)) on each pass.
@@ -87,7 +74,6 @@ func newWorker(id int, rt *Runtime) *worker {
 		id:     id,
 		rt:     rt,
 		queue:  make(chan lookupReq, rt.cfg.QueueDepth),
-		cache:  dred.NewCache(rt.cfg.CacheSize),
 		sketch: make([]atomic.Uint64, sketchBuckets),
 	}
 }
@@ -148,7 +134,7 @@ func (w *worker) pace(n int) {
 // answerAfterPanic completes a request whose handler panicked before the
 // done send (the only panic windows — serve, serveBatch, poison). The
 // dispatcher is still waiting, so the answer is computed from the bare
-// snapshot with no cache involvement.
+// snapshot, skipping the served counter and the traffic sketch.
 func (w *worker) answerAfterPanic(req lookupReq) {
 	if req.done == nil {
 		return
@@ -168,94 +154,51 @@ func (w *worker) answerAfterPanic(req lookupReq) {
 	req.done <- Result{Hop: hop, Prefix: pfx, Found: ok, Home: req.home, Worker: w.id, Diverted: req.diverted, Version: snap.Version}
 }
 
-// serve answers one request against the current snapshot, keeping the
-// cache consistent with it first. The epoch pin spans the whole
-// request: the snapshot's arena cannot be recycled while this worker
-// still probes it.
+// serve answers one request against the current snapshot. The epoch pin
+// spans the whole request: the snapshot's arena cannot be recycled while
+// this worker still probes it.
 func (w *worker) serve(req lookupReq) Result {
 	slot := w.rt.ep.enter(uint64(w.id))
 	defer slot.exit()
 	snap := w.rt.snap.Load()
-	w.syncCache(snap)
 	w.served.Add(1)
 	return w.answer(snap, req.addr, req.home, req.diverted)
 }
 
 // serveBatch answers a whole home-partition group against one snapshot
-// load and one epoch pin — the per-request snapshot and cache-sync
-// overhead is paid once for the group, and the group's addresses share
-// the worker's cache-warm slice of the table.
+// load and one epoch pin — the per-request overhead is paid once for the
+// group, and the group's addresses share the worker's CPU-cache-warm
+// slice of the table.
 func (w *worker) serveBatch(req lookupReq) {
 	slot := w.rt.ep.enter(uint64(w.id))
 	defer slot.exit()
 	snap := w.rt.snap.Load()
-	w.syncCache(snap)
 	w.served.Add(int64(len(req.batch)))
 	for i, a := range req.batch {
 		req.out[i] = w.answer(snap, a, req.home, req.diverted)
 	}
 }
 
-// answer resolves one address: diverted requests probe the DRed-analog
-// cache first and fill it on miss (the reduced-redundancy rule — the
-// prefix's home is elsewhere, so caching it cannot duplicate this
-// worker's own partition).
+// answer resolves one address against snap and records the sampled
+// traffic sketch.
 func (w *worker) answer(snap *Snapshot, addr ip.Addr, home int, diverted bool) Result {
 	w.skTick++
 	if w.skTick&(sketchSamplePeriod-1) == 0 {
 		w.sketch[uint32(addr)>>sketchShift].Add(1)
 	}
 	res := Result{Home: home, Worker: w.id, Diverted: diverted, Version: snap.Version}
-	if diverted {
-		if hop, pfx, ok := w.cache.Lookup(addr); ok {
-			w.rt.m.cacheHits.Add(1)
-			res.Hop, res.Prefix, res.Found, res.CacheHit = hop, pfx, true, true
-			return res
-		}
-		w.rt.m.cacheMisses.Add(1)
-	}
 	res.Hop, res.Prefix, res.Found = snap.Lookup(addr)
-	if diverted && res.Found {
-		w.cache.Insert(ip.Route{Prefix: res.Prefix, NextHop: res.Hop})
-		w.cached.Store(int64(w.cache.Len()))
-	}
 	return res
 }
 
-// syncCache brings the cache up to snap's version: one version ahead is
-// fixed with the snapshot's targeted stale-prefix invalidations (the
-// cheap DRed maintenance the paper's update pipeline performs); a larger
-// jump means intermediate stale lists were missed, so the cache is
-// flushed wholesale.
-func (w *worker) syncCache(snap *Snapshot) {
-	if snap.Version == w.cacheVersion {
-		return
-	}
-	if snap.Version == w.cacheVersion+1 && !snap.flushCaches {
-		for _, p := range snap.stale {
-			if w.cache.Invalidate(p) {
-				w.rt.m.cacheInvalid.Add(1)
-			}
-		}
-		w.cached.Store(int64(w.cache.Len()))
-	} else {
-		// Reset (not reallocate) so the flush keeps the cache's Stats
-		// history and reuses the trie/map/list structures.
-		w.cache.Reset()
-		w.rt.m.cacheFlushes.Add(1)
-		w.cached.Store(0)
-	}
-	w.cacheVersion = snap.Version
-}
-
 // resetSketch zeroes the traffic sketch. The writer calls it on every
-// worker when a cache-flushing (re-homed) snapshot publishes: samples
-// recorded under the old cut assignment must not feed the next recut
-// decision again. Doing it at publication rather than lazily in
-// syncCache matters — a worker that serves nothing between the flush
-// and the next rebalance pass would otherwise hand its stale samples
-// to the drain. The rebalancer's decayed aggregate (not this buffer)
-// carries the traffic estimate across recuts.
+// worker when a re-homed snapshot publishes: samples recorded under the
+// old cut assignment must not feed the next recut decision again. Doing
+// it at publication rather than lazily on the worker's next request
+// matters — a worker that serves nothing between the recut and the next
+// rebalance pass would otherwise hand its stale samples to the drain.
+// The rebalancer's decayed aggregate (not this buffer) carries the
+// traffic estimate across recuts.
 func (w *worker) resetSketch() {
 	for i := range w.sketch {
 		w.sketch[i].Store(0)

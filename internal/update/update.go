@@ -27,43 +27,21 @@ import (
 	"clue/internal/tcam"
 	"clue/internal/tracegen"
 	"clue/internal/trie"
+	"clue/internal/ttf"
 )
 
-// CostModel prices the primitive operations.
-type CostModel struct {
-	// TCAMAccessNs is one TCAM entry write or move (paper: 24 ns).
-	TCAMAccessNs float64
-	// SRAMAccessNs is one control-plane trie node touch.
-	SRAMAccessNs float64
-}
+// The cost model itself lives in internal/ttf, below the simulated
+// hardware, so the serving runtime can price updates without importing
+// chips and DReds; these are its historical names.
+type (
+	// CostModel prices the primitive operations.
+	CostModel = ttf.CostModel
+	// TTF is one update message's Time-To-Fresh breakdown, in nanoseconds.
+	TTF = ttf.TTF
+)
 
 // DefaultCosts returns the paper-calibrated model.
-func DefaultCosts() CostModel {
-	return CostModel{TCAMAccessNs: tcam.AccessNs, SRAMAccessNs: 6}
-}
-
-// TTF is one update message's Time-To-Fresh breakdown, in nanoseconds.
-type TTF struct {
-	// Trie is TTF1: control-plane computation.
-	Trie float64
-	// TCAM is TTF2: data-plane table maintenance.
-	TCAM float64
-	// DRed is TTF3: redundancy-store maintenance.
-	DRed float64
-}
-
-// Total returns TTF1+TTF2+TTF3.
-func (t TTF) Total() float64 { return t.Trie + t.TCAM + t.DRed }
-
-// Add returns the element-wise sum (aggregation helper).
-func (t TTF) Add(o TTF) TTF {
-	return TTF{Trie: t.Trie + o.Trie, TCAM: t.TCAM + o.TCAM, DRed: t.DRed + o.DRed}
-}
-
-// Scale returns the element-wise scaling (averaging helper).
-func (t TTF) Scale(f float64) TTF {
-	return TTF{Trie: t.Trie * f, TCAM: t.TCAM * f, DRed: t.DRed * f}
-}
+func DefaultCosts() CostModel { return ttf.DefaultCosts() }
 
 // Pipeline applies routing updates and reports their TTF.
 type Pipeline interface {
@@ -180,7 +158,9 @@ func (p *CLUEPipeline) Apply(u tracegen.Update) (TTF, error) {
 	default:
 		return TTF{}, fmt.Errorf("update: unknown kind %v", u.Kind)
 	}
-	ttf := TTF{Trie: float64(diff.Visits.Nodes) * p.cost.SRAMAccessNs}
+	// Trie and DRed are the model's terms; TCAM is overwritten below with
+	// what the chip actually spent.
+	ttf := p.cost.CLUEBound(diff)
 
 	before := p.chip.Stats()
 	for _, op := range diff.Ops {
@@ -202,12 +182,11 @@ func (p *CLUEPipeline) Apply(u tracegen.Update) (TTF, error) {
 
 	// DRed maintenance: inserts need nothing; deletes and modifies are a
 	// single probe-and-fix, issued to all DReds in parallel (one access
-	// time each op).
+	// time each op, already priced by CLUEBound).
 	for _, op := range diff.Ops {
 		switch op.Kind {
 		case onrtc.OpDelete:
 			p.dreds.Invalidate(op.Route.Prefix)
-			ttf.DRed += p.cost.TCAMAccessNs
 		case onrtc.OpModify:
 			// Refresh the hop where cached.
 			for i := 0; i < p.dreds.N(); i++ {
@@ -216,7 +195,6 @@ func (p *CLUEPipeline) Apply(u tracegen.Update) (TTF, error) {
 					c.Insert(op.Route)
 				}
 			}
-			ttf.DRed += p.cost.TCAMAccessNs
 		}
 	}
 	return ttf, nil
