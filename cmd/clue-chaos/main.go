@@ -1,54 +1,42 @@
-// Command clue-chaos runs the deterministic fault-injection soak from
-// internal/chaos against a live serve.Runtime: a seeded update storm
-// with concurrent lookup traffic while workers are failed, poisoned,
-// stalled and recovered on schedule, checkpointed against a fresh
-// oracle rebuild.
+// Command clue-chaos runs one program of the fault harness
+// (internal/chaos) and prints its report as JSON on stdout.
 //
 // Usage:
 //
-//	clue-chaos [-seed 7] [-ops 10000] [-routes 12000] [-workers 4]
-//	           [-cycles 3] [-max-dispatch-p99 1s] [-sequential] [-v]
-//	clue-chaos -feed [-seed 7] [-ops 1200] [-routes 3000] [-workers 2]
-//	           [-feed-batch 4] [-feed-window 16] [-v]
-//	clue-chaos -scenario session-reset|route-leak|update-burst|flash-crowd
-//	           [-seed 7] [-routes 12000] [-workers 4] [-mutant none]
-//	           [-max-dispatch-p99 0] [-max-divert-rate 0] [-max-converge 0]
-//	           [-repro-dir DIR] [-v]
-//	clue-chaos -compare-rebalance [-seed 7] [-routes 4000] [-workers 4]
-//	           [-lookers 120] [-min-improvement 0.2] [-v]
+//	clue-chaos [-scenario worker-faults] [-seed 7] [-routes N] [-storm-ops N]
+//	           [-workers N] [-lookers N] [-checkpoints N] [-probes N]
+//	           [-max-dispatch-p99 D] [-max-divert-rate R] [-max-converge D]
+//	           [-sequential] [-mutant none] [-repro-dir DIR] [-v]
+//	clue-chaos -compare-rebalance [-seed 7] [-routes N] [-workers N] [-lookers N] [-v]
 //
-// The report is printed as JSON on stdout; the exit status is non-zero
-// when any invariant broke (wrong answer vs the oracle, a dispatch that
-// exhausted its retry/timeout budget, a degraded-mode dispatch p99 above
-// -max-dispatch-p99 — negative disables the bound — a TTF replay
-// mismatch in -sequential mode, or a goroutine leak).
-//
-// -feed switches to the replication chaos scenario instead: a collector
-// streams a seeded update trace to two runtime-backed follower replicas
-// while links are cut (briefly and beyond the replay window), a
-// replica's apply pipeline is stalled and the collector is restarted
-// mid-stream with a state handoff. The run fails unless both replicas
-// reconverge to the collector's canonical compressed table with the
-// resume and re-snapshot paths both exercised and no goroutine leaks.
-//
-// -scenario replays one of the adversarial scenario-lab programs
-// (internal/tracegen) under traffic with mid-storm oracle checkpoints
-// and the scenario's declared contract: bounded degraded-mode dispatch
+// -scenario names the program (internal/tracegen): the four control-plane
+// storms session-reset, route-leak, update-burst and flash-crowd;
+// worker-faults, which kills, poisons, stalls, recovers and recuts
+// partition workers under churn; and feed-partition, which replicates the
+// churn through a collector to two followers while links are cut (briefly
+// and beyond the replay window), an apply pipeline stalls and the
+// collector restarts. Every program runs under its phases' lookup
+// traffic with mid-program oracle checkpoints on every serving runtime
+// and is held to its declared contract: bounded degraded-mode dispatch
 // p99, bounded divert rate and bounded time-to-converge (first
 // canonical-table-hash match after the storm). The bound flags override
-// the contract; 0 keeps the scenario default and a negative value
-// disables that bound. -repro-dir writes a shrunk JSON reproducer on
-// failure; -mutant plants a deliberate oracle defect (self-test).
+// the contract; 0 keeps the program's bound and a negative value
+// disables it. Every size flag left at 0 takes the program's preset
+// default; an explicit value is always honoured.
 //
-// -compare-rebalance replays the flash-crowd scenario twice under
-// service-paced pressure traffic — repartitioning off, then on — and
-// fails unless the controller recut and improved the steady-state
-// divert rate by -min-improvement, with the off leg required to show
-// real divert pressure so the contract cannot pass vacuously.
+// -sequential applies updates one at a time and verifies TTF replay
+// equivalence; -mutant plants a deliberate oracle defect (self-test);
+// -repro-dir writes a shrunk JSON reproducer when the run fails.
+//
+// -compare-rebalance replays flash-crowd twice under service-paced
+// pressure traffic — repartitioning off, then on — and fails unless the
+// controller recut and improved the steady-state divert rate by 20%,
+// with the off leg required to show real divert pressure so the contract
+// cannot pass vacuously.
 //
 // Exit status: 0 on a passing run, 1 when the run failed an invariant
 // or its contract, 2 on a usage error (unknown flag or scenario,
-// contradictory bounds, incompatible mode combinations).
+// negative size, contradictory bounds, incompatible mode combinations).
 package main
 
 import (
@@ -81,206 +69,87 @@ func main() {
 	}
 }
 
-// parseMutant maps the -mutant flag to an oracle mutant.
-func parseMutant(s string) (oracle.Mutant, error) {
-	for _, m := range []oracle.Mutant{oracle.MutantNone, oracle.MutantDropWithdraw, oracle.MutantShortestMatch} {
-		if s == m.String() {
-			return m, nil
-		}
-	}
-	return 0, usageError{fmt.Sprintf("unknown -mutant %q (known: none, drop-withdraw, shortest-match)", s)}
-}
-
-func run(args []string, out, errw io.Writer) error {
+// parse turns the command line into the harness options, untouched by
+// any default: what a flag did not set stays zero for the preset to fill.
+func parse(args []string, errw io.Writer) (o chaos.Options, compare bool, err error) {
 	fs := flag.NewFlagSet("clue-chaos", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	seed := fs.Int64("seed", 7, "seed for FIB, trace, fault schedule and probes")
-	ops := fs.Int("ops", 10000, "update-storm length")
-	routes := fs.Int("routes", 12000, "base FIB size")
-	workers := fs.Int("workers", 4, "partition worker count")
-	cycles := fs.Int("cycles", 3, "worker kill/recover cycles")
-	checkpoints := fs.Int("checkpoints", 10, "oracle checkpoints over the storm")
-	probes := fs.Int("probes", 2000, "random probes per checkpoint")
-	lookers := fs.Int("lookers", 4, "concurrent lookup goroutines")
-	maxP99 := fs.Duration("max-dispatch-p99", 0, "fail when the soak's dispatch p99 exceeds this (0 = 1s default, negative disables)")
-	sequential := fs.Bool("sequential", false, "apply ops one at a time and verify TTF replay equivalence")
-	feedMode := fs.Bool("feed", false, "run the replication chaos scenario (collector + two follower replicas)")
-	feedBatch := fs.Int("feed-batch", 0, "updates per replicated batch (feed mode; 0 = default)")
-	feedWindow := fs.Int("feed-window", 0, "collector replay window in batches (feed mode; 0 = default)")
-	scenario := fs.String("scenario", "", "replay a scenario-lab program (session-reset, route-leak, update-burst, flash-crowd)")
-	compareReb := fs.Bool("compare-rebalance", false, "run the paired flash-crowd rebalance comparison (off vs on)")
-	minImprove := fs.Float64("min-improvement", 0, "rebalance comparison contract margin (0 = default 0.2)")
-	stormOps := fs.Int("storm-ops", 0, "scenario storm size where generated from churn (0 = scenario default)")
-	maxDivert := fs.Float64("max-divert-rate", 0, "scenario bound on diverted/dispatched (0 = contract default, negative disables)")
-	maxConverge := fs.Duration("max-converge", 0, "scenario bound on time-to-converge after the storm (0 = contract default, negative disables)")
-	mutant := fs.String("mutant", "none", "plant an oracle defect for scenario self-tests (none, drop-withdraw, shortest-match)")
-	reproDir := fs.String("repro-dir", "", "write a shrunk JSON reproducer here when a scenario run fails")
+	fs.StringVar(&o.Scenario, "scenario", tracegen.ScenarioWorkerFaults, fmt.Sprintf("program to replay %v", tracegen.ScenarioNames()))
+	fs.Int64Var(&o.Seed, "seed", 7, "seed for the program, the probes and the traffic")
+	fs.IntVar(&o.Routes, "routes", 0, "base FIB size (0 = preset default)")
+	fs.IntVar(&o.StormOps, "storm-ops", 0, "storm size where drawn from the churn generator (0 = program default)")
+	fs.IntVar(&o.Workers, "workers", 0, "partition worker count per runtime (0 = preset default)")
+	fs.IntVar(&o.Lookers, "lookers", 0, "concurrent lookup goroutines (0 = preset default)")
+	fs.IntVar(&o.Checkpoints, "checkpoints", 0, "oracle checkpoints per phase (0 = default 3)")
+	fs.IntVar(&o.Probes, "probes", 0, "random probes per checkpoint (0 = default 800)")
+	fs.DurationVar(&o.MaxDegradedP99, "max-dispatch-p99", 0, "bound on the run's dispatch p99 (0 = contract default, negative disables)")
+	fs.Float64Var(&o.MaxDivertRate, "max-divert-rate", 0, "bound on diverted/dispatched (0 = contract default, negative disables)")
+	fs.DurationVar(&o.MaxConverge, "max-converge", 0, "bound on time-to-converge after the storm (0 = contract default, negative disables)")
+	fs.BoolVar(&o.Sequential, "sequential", false, "apply ops one at a time and verify TTF replay equivalence")
+	mutant := fs.String("mutant", "none", "plant an oracle defect for self-tests (none, drop-withdraw, shortest-match)")
+	fs.StringVar(&o.ReproDir, "repro-dir", "", "write a shrunk JSON reproducer here when the run fails")
+	fs.BoolVar(&compare, "compare-rebalance", false, "run the paired flash-crowd rebalance comparison (off vs on)")
 	verbose := fs.Bool("v", false, "log faults and checkpoints to stderr")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			return err
+			return o, compare, err
 		}
-		return usageError{err.Error()}
-	}
-
-	if *compareReb {
-		if *feedMode || *scenario != "" || *sequential {
-			return usageError{"-compare-rebalance is its own mode: it excludes -feed, -scenario and -sequential"}
-		}
-		if *minImprove < 0 || *minImprove >= 1 {
-			return usageError{fmt.Sprintf("-min-improvement %v must be in [0,1)", *minImprove)}
-		}
-		ccfg := chaos.RebalanceCompareConfig{
-			Seed:           *seed,
-			Routes:         *routes,
-			Workers:        *workers,
-			Lookers:        *lookers,
-			MinImprovement: *minImprove,
-		}
-		// The shared defaults are sized for the soak; fall back to the
-		// comparison's calibrated defaults unless the caller overrode them.
-		if *routes == 12000 {
-			ccfg.Routes = 0
-		}
-		if *workers == 4 {
-			ccfg.Workers = 0
-		}
-		if *lookers == 4 {
-			ccfg.Lookers = 0
-		}
-		if *verbose {
-			ccfg.Log = errw
-		}
-		rep, err := chaos.CompareRebalance(ccfg)
-		doc, jerr := json.MarshalIndent(rep, "", "  ")
-		if jerr != nil {
-			return jerr
-		}
-		fmt.Fprintln(out, string(doc))
-		return err
-	}
-	if *minImprove != 0 {
-		return usageError{"-min-improvement requires -compare-rebalance"}
-	}
-
-	if *scenario != "" {
-		if *feedMode {
-			return usageError{"-scenario and -feed are mutually exclusive"}
-		}
-		if *sequential {
-			return usageError{"-sequential only applies to the soak, not -scenario"}
-		}
-		known := false
-		for _, n := range tracegen.ScenarioNames() {
-			if *scenario == n {
-				known = true
-			}
-		}
-		if !known {
-			return usageError{fmt.Sprintf("unknown scenario %q (known: %v)", *scenario, tracegen.ScenarioNames())}
-		}
-		if *maxDivert > 1 {
-			return usageError{fmt.Sprintf("-max-divert-rate %v is a contradiction: diverted/dispatched can never exceed 1", *maxDivert)}
-		}
-		mut, err := parseMutant(*mutant)
-		if err != nil {
-			return err
-		}
-		scfg := chaos.ScenarioConfig{
-			Name:           *scenario,
-			Seed:           *seed,
-			Routes:         *routes,
-			StormOps:       *stormOps,
-			Workers:        *workers,
-			Lookers:        *lookers,
-			Probes:         *probes,
-			MaxDegradedP99: *maxP99,
-			MaxDivertRate:  *maxDivert,
-			MaxConverge:    *maxConverge,
-			Mutant:         mut,
-			ReproDir:       *reproDir,
-		}
-		// The shared defaults are sized for the soak; fall back to the
-		// scenario/driver defaults unless the caller overrode them.
-		if *routes == 12000 {
-			scfg.Routes = 0
-		}
-		if *workers == 4 {
-			scfg.Workers = 0
-		}
-		if *lookers == 4 {
-			scfg.Lookers = 0
-		}
-		if *probes == 2000 {
-			scfg.Probes = 0
-		}
-		if *verbose {
-			scfg.Log = errw
-		}
-		rep, err := chaos.RunScenario(scfg)
-		doc, jerr := json.MarshalIndent(rep, "", "  ")
-		if jerr != nil {
-			return jerr
-		}
-		fmt.Fprintln(out, string(doc))
-		return err
-	}
-	if *mutant != "none" || *reproDir != "" || *maxDivert != 0 || *maxConverge != 0 || *stormOps != 0 {
-		return usageError{"-mutant/-repro-dir/-max-divert-rate/-max-converge/-storm-ops require -scenario"}
-	}
-
-	if *feedMode {
-		fcfg := chaos.FeedConfig{
-			Seed:      *seed,
-			Routes:    *routes,
-			Updates:   *ops,
-			BatchSize: *feedBatch,
-			Window:    *feedWindow,
-			Workers:   *workers,
-		}
-		// The shared -ops/-routes defaults are sized for the soak; scale
-		// them down unless the caller overrode them.
-		if *ops == 10000 {
-			fcfg.Updates = 0
-		}
-		if *routes == 12000 {
-			fcfg.Routes = 0
-		}
-		if *workers == 4 {
-			fcfg.Workers = 0
-		}
-		if *verbose {
-			fcfg.Log = errw
-		}
-		rep, err := chaos.RunFeed(fcfg)
-		doc, jerr := json.MarshalIndent(rep, "", "  ")
-		if jerr != nil {
-			return jerr
-		}
-		fmt.Fprintln(out, string(doc))
-		return err
-	}
-
-	cfg := chaos.Config{
-		Seed:                *seed,
-		Ops:                 *ops,
-		Routes:              *routes,
-		Workers:             *workers,
-		Cycles:              *cycles,
-		Checkpoints:         *checkpoints,
-		ProbesPerCheckpoint: *probes,
-		Lookers:             *lookers,
-		MaxDispatchP99:      *maxP99,
-		Sequential:          *sequential,
+		return o, compare, usageError{err.Error()}
 	}
 	if *verbose {
-		cfg.Log = errw
+		o.Log = errw
 	}
-	rep, err := chaos.Run(cfg)
-	doc, jerr := json.MarshalIndent(rep, "", "  ")
+	for _, m := range []oracle.Mutant{oracle.MutantNone, oracle.MutantDropWithdraw, oracle.MutantShortestMatch} {
+		if *mutant == m.String() {
+			o.Mutant = m
+		}
+	}
+	if *mutant != o.Mutant.String() {
+		return o, compare, usageError{fmt.Sprintf("unknown -mutant %q (known: none, drop-withdraw, shortest-match)", *mutant)}
+	}
+	if compare {
+		// The comparison is its own preset: the program, the bounds and the
+		// topology are fixed, and it writes no reproducer.
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "compare-rebalance", "seed", "routes", "workers", "lookers", "checkpoints", "probes", "v":
+			default:
+				err = usageError{fmt.Sprintf("-compare-rebalance excludes -%s", f.Name)}
+			}
+		})
+		o.Scenario = tracegen.ScenarioFlashCrowd
+	}
+	if err == nil {
+		if verr := o.Validate(); verr != nil {
+			err = usageError{verr.Error()}
+		}
+	}
+	return o, compare, err
+}
+
+func run(args []string, out, errw io.Writer) error {
+	o, compare, err := parse(args, errw)
+	if err != nil {
+		return err
+	}
+	var doc any
+	if compare {
+		res := struct {
+			Off         chaos.Report `json:"off"`
+			On          chaos.Report `json:"on"`
+			Improvement float64      `json:"improvement"`
+		}{}
+		if res.Off, res.On, err = chaos.Compare(o); err == nil {
+			res.Improvement, err = chaos.Improvement(res.Off, res.On)
+		}
+		doc = res
+	} else {
+		doc, err = chaos.Run(o)
+	}
+	buf, jerr := json.MarshalIndent(doc, "", "  ")
 	if jerr != nil {
 		return jerr
 	}
-	fmt.Fprintln(out, string(doc))
+	fmt.Fprintln(out, string(buf))
 	return err
 }

@@ -1,611 +1,474 @@
-// Package chaos is a deterministic fault-injection and soak harness for
-// the serve runtime. It drives a live serve.Runtime with a tracegen
-// update storm and concurrent lookup traffic while killing, poisoning,
-// stalling and recovering partition workers on a seeded schedule, and
-// checkpoints the published table against a fresh onrtc oracle built
-// from a mirror trie.
+// Package chaos is the fault harness: one driver that replays a
+// tracegen scenario program — phased update streams, per-phase lookup
+// traffic and a per-phase fault list — against live serve runtimes,
+// checkpoints every serving runtime against the brute-force oracle model
+// mid-program, measures time-to-converge after the storm and holds the
+// run to the program's declared contract.
 //
-// Everything the harness decides — the base FIB, the update trace, the
-// fault schedule, the probe addresses — derives from Config.Seed, so a
-// failing run replays exactly. Updates are submitted concurrently in
-// windows of distinct prefixes: distinct prefixes commute through the
-// trie and the disjoint compressed table, so the mirror stays an exact
-// oracle no matter how the writer batches a window.
+// A program with Replicas == 0 applies its updates straight to one
+// runtime; with Replicas == N they go through a feed.Collector to N
+// follower runtimes. That is the only topology seam (harness.apply);
+// the traffic loop, the window submitter, the reference, the
+// checkpoint, the contract, the report and the reproducer are shared.
+//
+// Everything the harness decides derives from Options.Seed, so a failing
+// run replays exactly. Updates are submitted in windows of distinct
+// prefixes: distinct prefixes commute through the trie and the disjoint
+// compressed table, so the model stays an exact oracle no matter how the
+// writer batches a window. The reference is oracle.Model, the flat
+// brute-force LPM map the differential-testing layer uses, so a planted
+// model mutant makes a mid-program checkpoint fail — on every program —
+// proving the harness detects real divergence rather than vacuously
+// passing.
 package chaos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
-	"clue/internal/fibgen"
+	"clue/internal/feed"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
+	"clue/internal/oracle"
 	"clue/internal/serve"
 	"clue/internal/tracegen"
 	"clue/internal/trie"
-	"clue/internal/update"
+	"clue/internal/ttf"
 )
 
-// Config parameterises one chaos run. Zero values take soak defaults.
-type Config struct {
-	// Seed drives every random choice in the run.
-	Seed int64
-	// Routes is the base FIB size (default 12000).
-	Routes int
-	// Ops is the update-storm length (default 10000).
-	Ops int
-	// Workers is the runtime's partition worker count (default 4).
-	Workers int
-	// Cycles is the number of kill/recover cycles spread over the storm
-	// (default 3). Even cycles fail a worker through the operator API,
-	// odd cycles poison it so it panics mid-service; every cycle also
-	// stalls a different worker's queue for part of the cycle.
-	Cycles int
-	// Checkpoints is how many times the run quiesces and compares the
-	// published table against a fresh oracle (default 10).
-	Checkpoints int
-	// ProbesPerCheckpoint is the random-lookup count verified against
-	// the oracle at each checkpoint, on top of sampled route boundaries
-	// (default 2000).
-	ProbesPerCheckpoint int
-	// Lookers is the number of concurrent lookup goroutines hammering
-	// Dispatch/Lookup/DispatchBatch throughout the run (default 4).
-	Lookers int
-	// Sequential applies the update storm one op at a time instead of in
-	// concurrent windows, and additionally verifies that the runtime's
-	// TTF accounting matches a replay of the same trace through a fresh
-	// onrtc.Updater priced with the same cost model — the model is
-	// deterministic, so the totals are exactly reproducible.
-	Sequential bool
-	// MaxDispatchP99 bounds the runtime's end-to-end dispatch p99
-	// (worse of the home/diverted paths) across the whole
-	// soak, kill/recover storms included: degraded mode may divert and
-	// retry, but a dispatch latency cliff is an invariant violation,
-	// not an operating mode. Default 1s — the runtime's own
-	// EnqueueTimeout budget; a successful dispatch that took longer
-	// than the budget for *failing* means the backoff path wedged.
-	// Negative disables the assertion.
-	MaxDispatchP99 time.Duration
+// Options parameterises one run. Zero values take the named program's
+// preset defaults; an explicit value is always honoured.
+type Options struct {
+	// Scenario is the program to run (tracegen.ScenarioNames).
+	Scenario string `json:"scenario"`
+	// Seed drives the generated program, the probe addresses and the
+	// lookup traffic.
+	Seed int64 `json:"seed"`
+	// Routes is the base FIB size (default 12000; 3000 for
+	// feed-partition, 4000 under Compare).
+	Routes int `json:"routes"`
+	// StormOps sizes the storm where the program draws it from the churn
+	// generator (0 = the program's own default).
+	StormOps int `json:"storm_ops,omitempty"`
+	// Workers is each runtime's partition worker count (default 4; 2 for
+	// feed-partition).
+	Workers int `json:"workers"`
+	// Lookers is the number of concurrent traffic goroutines, each
+	// following the phase's declared traffic spec (default 4; 120 paced
+	// ones under Compare).
+	Lookers int `json:"lookers"`
+	// Checkpoints is how many times per phase the driver quiesces and
+	// diffs every serving runtime against the oracle model (default 3;
+	// every phase also ends with one).
+	Checkpoints int `json:"checkpoints"`
+	// Probes is the random-probe count verified per checkpoint and
+	// runtime, on top of sampled route boundaries (default 800).
+	Probes int `json:"probes"`
+	// MaxDegradedP99/MaxDivertRate/MaxConverge override the program's
+	// contract: zero keeps the declared bound, negative disables it.
+	MaxDegradedP99 time.Duration `json:"max_degraded_p99,omitempty"`
+	MaxDivertRate  float64       `json:"max_divert_rate,omitempty"`
+	MaxConverge    time.Duration `json:"max_converge,omitempty"`
+	// Sequential applies updates one at a time instead of in concurrent
+	// windows and additionally demands that the runtime's TTF accounting
+	// equals a replay of the same trace through a fresh onrtc.Updater
+	// under the same cost model — the model is deterministic, so any
+	// drift means the writer dropped, duplicated or reordered an op.
+	// Direct topology only.
+	Sequential bool `json:"sequential,omitempty"`
+	// Mutant plants a deliberate defect in the oracle model. The
+	// self-tests use it to prove a checkpoint catches real divergence;
+	// production runs use oracle.MutantNone.
+	Mutant oracle.Mutant `json:"mutant,omitempty"`
 	// Log, when non-nil, receives progress lines.
-	Log io.Writer
+	Log io.Writer `json:"-"`
+	// ReproDir, when non-empty, receives a shrunk JSON reproducer when
+	// the run fails.
+	ReproDir string `json:"-"`
+
+	// paced selects Compare's capacity model (see compare.go); rebalance
+	// turns the repartitioning controller on for its second leg.
+	paced, rebalance bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Routes == 0 {
-		c.Routes = 12000
-	}
-	if c.Ops == 0 {
-		c.Ops = 10000
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.Cycles == 0 {
-		c.Cycles = 3
-	}
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 10
-	}
-	if c.ProbesPerCheckpoint == 0 {
-		c.ProbesPerCheckpoint = 2000
-	}
-	if c.Lookers == 0 {
-		c.Lookers = 4
-	}
-	if c.MaxDispatchP99 == 0 {
-		c.MaxDispatchP99 = time.Second
-	}
-	return c
-}
-
-// Report is the outcome of a chaos run. A run only counts as passed
-// when Run also returned a nil error.
-type Report struct {
-	Seed        int64 `json:"seed"`
-	Ops         int   `json:"ops"`
-	Checkpoints int   `json:"checkpoints"`
-	// Kills/Poisons/Stalls/Recoveries count injected faults; Panics is
-	// the runtime's recovered-panic counter at the end of the run.
-	Kills      int   `json:"kills"`
-	Poisons    int   `json:"poisons"`
-	Stalls     int   `json:"stalls"`
-	Recoveries int   `json:"recoveries"`
-	Panics     int64 `json:"panics"`
-	// Lookups is the concurrent-traffic volume served during the storm;
-	// CheckedLookups the oracle-verified probes across checkpoints.
-	Lookups        int64 `json:"lookups"`
-	CheckedLookups int   `json:"checked_lookups"`
-	// DispatchP99Ns is the runtime's end-to-end dispatch p99 (worst
-	// outcome path) over the whole soak, degraded windows included;
-	// DispatchP99Bounded reports the Config.MaxDispatchP99 assertion ran
-	// (and held, if Run returned nil).
-	DispatchP99Ns      float64 `json:"dispatch_p99_ns"`
-	DispatchP99Bounded bool    `json:"dispatch_p99_bounded"`
-	// WrongAnswers and DispatchErrors must both be zero: forwarding
-	// never stops and never lies while any worker is alive.
-	WrongAnswers   int   `json:"wrong_answers"`
-	DispatchErrors int64 `json:"dispatch_errors"`
-	UpdateErrors   int   `json:"update_errors"`
-	// TTFChecked reports the sequential-mode replay equivalence ran (and
-	// passed, if Run returned nil).
-	TTFChecked bool `json:"ttf_checked"`
-	// GoroutinesBefore/After bracket the run for leak detection.
-	GoroutinesBefore int `json:"goroutines_before"`
-	GoroutinesAfter  int `json:"goroutines_after"`
-	// FinalRoutes is the compressed table size at the end; FinalStats
-	// the runtime's closing metrics export.
-	FinalRoutes int         `json:"final_routes"`
-	FinalStats  serve.Stats `json:"final_stats"`
-}
-
-// event kinds on the fault schedule.
+// Driver constants: every value here had exactly one caller.
 const (
-	evKill = iota
-	evPoison
-	evStall
-	evRelease
-	evRecover
+	// windowMax caps a concurrent submission window.
+	windowMax = 64
+	// The replicated topology: updates per collector batch, the
+	// collector's replay window in batches (small, so tracegen's long cut
+	// is guaranteed to overrun it) and its hash-frame cadence.
+	feedBatch     = 4
+	feedWindow    = 16
+	feedHashEvery = 8
+	// followerTimeout bounds every wait on a follower's progress.
+	followerTimeout = 30 * time.Second
 )
 
-type event struct {
-	at     int // op index the event fires before
-	kind   int
-	worker int
-}
-
-// windowMax caps a concurrent submission window. Windows only contain
-// distinct prefixes, so every op in a window commutes with the others.
-const windowMax = 64
-
-// Run executes one chaos soak and reports what happened. The returned
-// error is non-nil whenever any invariant broke: a wrong answer against
-// the oracle, a dispatch that exhausted its retry/timeout budget, an
-// update pipeline error, a TTF replay mismatch or a leaked goroutine.
-func Run(cfg Config) (Report, error) {
-	cfg = cfg.withDefaults()
-	rep := Report{Seed: cfg.Seed, Ops: cfg.Ops}
-
-	fib, err := fibgen.Generate(fibgen.Config{Seed: cfg.Seed, Routes: cfg.Routes})
-	if err != nil {
-		return rep, err
-	}
-	routes := fib.Routes()
-	// The generator churns its own private FIB copy; the mirror is the
-	// harness's oracle state and only moves when the runtime accepted
-	// the same op.
-	// The storm leans toward withdraws and away from brand-new prefixes
-	// so the FIB shrinks slightly over the run: TCAM chips are sized with
-	// fixed headroom over their initial partition load, and a
-	// growth-heavy trace would legitimately overflow a skewed chip —
-	// that's the rebalancer's problem, not the failure-handling layer's.
-	gen, err := tracegen.NewUpdateGen(trie.FromRoutes(routes), tracegen.UpdateConfig{
-		Seed:          cfg.Seed,
-		Messages:      cfg.Ops,
-		WithdrawFrac:  0.25,
-		NewPrefixFrac: 0.15,
-	})
-	if err != nil {
-		return rep, err
-	}
-	ups := gen.NextN(cfg.Ops)
-	mirror := trie.FromRoutes(routes)
-
-	events := schedule(cfg)
-	probeRNG := rand.New(rand.NewSource(cfg.Seed + 2))
-
-	rep.GoroutinesBefore = runtime.NumGoroutine()
-	rt, err := serve.New(routes, serve.Config{Workers: cfg.Workers})
-	if err != nil {
-		return rep, err
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			rt.Close()
-		}
-	}()
-
-	// Concurrent lookup traffic for the whole storm. Lookers check
-	// liveness (no dispatch may fail while a worker is alive), not
-	// answers — answer correctness is the quiesced checkpoints' job.
-	stop := make(chan struct{})
-	var lookerWG sync.WaitGroup
-	var lookups, dispatchErrs atomic.Int64
-	for i := 0; i < cfg.Lookers; i++ {
-		lookerWG.Add(1)
-		go func(seed int64) {
-			defer lookerWG.Done()
-			rng := rand.New(rand.NewSource(seed))
-			batch := make([]ip.Addr, 16)
-			var out []serve.Result
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				switch n % 4 {
-				case 0, 1:
-					if _, err := rt.Dispatch(ip.Addr(rng.Uint32())); err != nil {
-						dispatchErrs.Add(1)
-					}
-					lookups.Add(1)
-				case 2:
-					rt.Lookup(ip.Addr(rng.Uint32()))
-					lookups.Add(1)
-				case 3:
-					for j := range batch {
-						batch[j] = ip.Addr(rng.Uint32())
-					}
-					var berr error
-					if out, berr = rt.DispatchBatch(batch, out); berr != nil {
-						dispatchErrs.Add(1)
-					}
-					lookups.Add(int64(len(batch)))
-				}
-			}
-		}(cfg.Seed + 100 + int64(i))
-	}
-
-	var ttfSum update.TTF
-	var firstWrong error
-	var releases []func()
-	releaseAll := func() {
-		for _, r := range releases {
-			r()
-		}
-		releases = releases[:0]
-	}
-	defer releaseAll()
-
-	checkEvery := cfg.Ops / cfg.Checkpoints
-	if checkEvery == 0 {
-		checkEvery = 1
-	}
-	nextEvent := 0
-	idx := 0
-	for idx < len(ups) {
-		// Fire every fault due at or before this point.
-		for nextEvent < len(events) && events[nextEvent].at <= idx {
-			ev := events[nextEvent]
-			nextEvent++
-			switch ev.kind {
-			case evKill:
-				if err := rt.FailWorker(ev.worker); err != nil {
-					return rep, fmt.Errorf("chaos: FailWorker(%d) at op %d: %w", ev.worker, idx, err)
-				}
-				rep.Kills++
-				logf(cfg.Log, "op %6d: failed worker %d", idx, ev.worker)
-			case evPoison:
-				if err := poison(rt, ev.worker); err != nil {
-					return rep, fmt.Errorf("chaos: poison worker %d at op %d: %w", ev.worker, idx, err)
-				}
-				rep.Poisons++
-				logf(cfg.Log, "op %6d: poisoned worker %d", idx, ev.worker)
-			case evStall:
-				rel, err := rt.StallWorker(ev.worker)
-				if err != nil {
-					return rep, fmt.Errorf("chaos: StallWorker(%d) at op %d: %w", ev.worker, idx, err)
-				}
-				releases = append(releases, rel)
-				rep.Stalls++
-				logf(cfg.Log, "op %6d: stalled worker %d", idx, ev.worker)
-			case evRelease:
-				releaseAll()
-				logf(cfg.Log, "op %6d: released stalls", idx)
-			case evRecover:
-				if err := waitFailed(rt, ev.worker); err != nil {
-					return rep, fmt.Errorf("chaos: at op %d: %w", idx, err)
-				}
-				if err := rt.RecoverWorker(ev.worker); err != nil {
-					return rep, fmt.Errorf("chaos: RecoverWorker(%d) at op %d: %w", ev.worker, idx, err)
-				}
-				rep.Recoveries++
-				logf(cfg.Log, "op %6d: recovered worker %d", idx, ev.worker)
-			}
-		}
-
-		// A submission window never crosses a fault or checkpoint
-		// boundary and never repeats a prefix, so its ops commute.
-		limit := idx + windowMax
-		if cfg.Sequential {
-			limit = idx + 1
-		}
-		if nextEvent < len(events) && events[nextEvent].at < limit {
-			limit = events[nextEvent].at
-		}
-		if cp := ((idx / checkEvery) + 1) * checkEvery; cp < limit {
-			limit = cp
-		}
-		end := idx
-		seen := make(map[ip.Prefix]struct{}, windowMax)
-		for end < len(ups) && end < limit {
-			if _, dup := seen[ups[end].Prefix]; dup {
-				break
-			}
-			seen[ups[end].Prefix] = struct{}{}
-			end++
-		}
-		if end == idx {
-			end = idx + 1 // repeated prefix right at the boundary: single-op window
-		}
-		window := ups[idx:end]
-
-		if cfg.Sequential {
-			ttf, err := applyOne(rt, window[0])
-			if err != nil {
-				rep.UpdateErrors++
-				return rep, fmt.Errorf("chaos: op %d (%v %s): %w", idx, window[0].Kind, window[0].Prefix, err)
-			}
-			ttfSum = ttfSum.Add(ttf)
-			applyMirror(mirror, window[0])
-		} else {
-			errs := make([]error, len(window))
-			var wg sync.WaitGroup
-			for i, u := range window {
-				wg.Add(1)
-				go func(i int, u tracegen.Update) {
-					defer wg.Done()
-					_, errs[i] = applyOne(rt, u)
-				}(i, u)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					rep.UpdateErrors++
-					return rep, fmt.Errorf("chaos: op %d (%v %s): %w", idx+i, window[i].Kind, window[i].Prefix, err)
-				}
-				applyMirror(mirror, window[i])
-			}
-		}
-		idx = end
-
-		if idx%checkEvery == 0 || idx == len(ups) {
-			// A checkpoint is a quiesce point: any stall still scheduled
-			// must release first, or the dispatch probes (and the main
-			// loop with them) could block behind the wedged queue that
-			// only this loop can un-wedge.
-			releaseAll()
-			wrong, checked := checkpoint(rt, mirror, probeRNG, cfg.ProbesPerCheckpoint)
-			rep.Checkpoints++
-			rep.CheckedLookups += checked
-			rep.WrongAnswers += len(wrong)
-			if len(wrong) > 0 && firstWrong == nil {
-				firstWrong = wrong[0]
-			}
-			logf(cfg.Log, "op %6d: checkpoint %d — %d probes, %d wrong, %d routes",
-				idx, rep.Checkpoints, checked, len(wrong), rt.Snapshot().Len())
-		}
-	}
-
-	releaseAll()
-	close(stop)
-	lookerWG.Wait()
-	rep.Lookups = lookups.Load()
-	rep.DispatchErrors = dispatchErrs.Load()
-	st := rt.Stats()
-	rep.Panics = st.WorkerPanics
-	rep.FinalRoutes = rt.Snapshot().Len()
-	rep.FinalStats = st
-	rep.DispatchP99Ns = st.Latency.DispatchP99Ns()
-	rep.DispatchP99Bounded = cfg.MaxDispatchP99 > 0
-
-	if cfg.Sequential {
-		if err := checkTTFReplay(routes, ups, ttfSum, st.TTFTotals); err != nil {
-			return rep, err
-		}
-		rep.TTFChecked = true
-	}
-
-	rt.Close()
-	closed = true
-	rep.GoroutinesAfter = awaitGoroutines(rep.GoroutinesBefore)
-
+func (o Options) withDefaults() Options {
+	routes, workers, lookers := 12000, 4, 4
 	switch {
-	case rep.WrongAnswers > 0:
-		return rep, fmt.Errorf("chaos: %d wrong answers vs oracle (first: %w)", rep.WrongAnswers, firstWrong)
-	case rep.DispatchErrors > 0:
-		return rep, fmt.Errorf("chaos: %d dispatches failed their retry/timeout budget", rep.DispatchErrors)
-	case rep.DispatchP99Bounded && rep.DispatchP99Ns > float64(cfg.MaxDispatchP99.Nanoseconds()):
-		return rep, fmt.Errorf("chaos: dispatch p99 %.0fns exceeds the degraded-mode bound %v (home %.0fns, diverted %.0fns)",
-			rep.DispatchP99Ns, cfg.MaxDispatchP99,
-			st.Latency.DispatchHome.P99, st.Latency.DispatchDiverted.P99)
-	case rep.GoroutinesAfter > rep.GoroutinesBefore:
-		return rep, fmt.Errorf("chaos: goroutine leak: %d before, %d after close", rep.GoroutinesBefore, rep.GoroutinesAfter)
+	case o.paced:
+		routes, lookers = 4000, pacedLookers
+	case o.Scenario == tracegen.ScenarioFeedPartition:
+		routes, workers = 3000, 2
 	}
-	return rep, nil
+	for _, d := range []struct {
+		v   *int
+		def int
+	}{{&o.Routes, routes}, {&o.Workers, workers}, {&o.Lookers, lookers}, {&o.Checkpoints, 3}, {&o.Probes, 800}} {
+		if *d.v == 0 {
+			*d.v = d.def
+		}
+	}
+	return o
 }
 
-// schedule lays the fault events over the op space: per cycle one worker
-// goes down (operator fail on even cycles, panic on odd), a different
-// worker's queue stalls mid-cycle and releases, and the down worker
-// recovers at three quarters.
-func schedule(cfg Config) []event {
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	cycleLen := cfg.Ops / cfg.Cycles
-	if cycleLen < 4 {
-		cycleLen = 4
+// Validate rejects options no run could honour: an unknown program, a
+// negative size or a contradictory bound. Run calls it; clue-chaos calls
+// it first to tell a usage error from a failed run.
+func (o Options) Validate() error {
+	if !slices.Contains(tracegen.ScenarioNames(), o.Scenario) {
+		return fmt.Errorf("chaos: unknown scenario %q (known: %v)", o.Scenario, tracegen.ScenarioNames())
 	}
-	var events []event
-	for c := 0; c < cfg.Cycles; c++ {
-		base := c * cycleLen
-		if base+cycleLen > cfg.Ops {
-			break
-		}
-		victim := rng.Intn(cfg.Workers)
-		kind := evKill
-		if c%2 == 1 {
-			kind = evPoison
-		}
-		events = append(events,
-			event{base + cycleLen/4, kind, victim},
-			event{base + cycleLen/2, evStall, (victim + 1) % cfg.Workers},
-			event{base + cycleLen*5/8, evRelease, 0},
-			event{base + cycleLen*3/4, evRecover, victim},
-		)
-	}
-	return events
-}
-
-// poison injects a panic request, retrying briefly when the victim's
-// queue is momentarily full of looker traffic.
-func poison(rt *serve.Runtime, worker int) error {
-	var err error
-	for attempt := 0; attempt < 200; attempt++ {
-		if err = rt.PoisonWorker(worker); err == nil || errors.Is(err, serve.ErrUnknownWorker) {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return err
-}
-
-// waitFailed blocks until the worker's panic (or drain) has landed it in
-// the failed state, so RecoverWorker sees a legal transition.
-func waitFailed(rt *serve.Runtime, worker int) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if rt.WorkerStates()[worker] == serve.WorkerFailed {
-			return nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return fmt.Errorf("chaos: worker %d never reached failed (now %v)", worker, rt.WorkerStates()[worker])
-}
-
-func applyOne(rt *serve.Runtime, u tracegen.Update) (update.TTF, error) {
-	switch u.Kind {
-	case tracegen.Announce:
-		return rt.Announce(u.Prefix, u.Hop)
-	case tracegen.Withdraw:
-		return rt.Withdraw(u.Prefix)
-	}
-	return update.TTF{}, fmt.Errorf("chaos: unknown update kind %v", u.Kind)
-}
-
-func applyMirror(mirror *trie.Trie, u tracegen.Update) {
-	switch u.Kind {
-	case tracegen.Announce:
-		mirror.Insert(u.Prefix, u.Hop, nil)
-	case tracegen.Withdraw:
-		mirror.Delete(u.Prefix, nil)
-	}
-}
-
-// checkpoint quiesces (every submitted op is published — Announce and
-// Withdraw block until their snapshot swap) and compares the runtime
-// against a fresh compression of the mirror: first the published
-// table's ONRTC disjointness invariant and the whole table
-// route-for-route, then sampled route boundaries and random probes
-// through both the snapshot path and the worker dispatch path.
-func checkpoint(rt *serve.Runtime, mirror *trie.Trie, rng *rand.Rand, probes int) (wrong []error, checked int) {
-	oracle := onrtc.Compress(mirror)
-	snap := rt.Snapshot()
-	got, want := snap.Routes(), oracle.Routes()
-	if err := onrtc.VerifyDisjoint(got); err != nil {
-		wrong = append(wrong, fmt.Errorf("published table not disjoint: %w", err))
-	}
-	if len(got) != len(want) {
-		wrong = append(wrong, fmt.Errorf("table size %d, oracle %d", len(got), len(want)))
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				wrong = append(wrong, fmt.Errorf("table[%d] = %v, oracle %v", i, got[i], want[i]))
-				break
-			}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Routes", o.Routes}, {"StormOps", o.StormOps}, {"Workers", o.Workers},
+		{"Lookers", o.Lookers}, {"Checkpoints", o.Checkpoints}, {"Probes", o.Probes}} {
+		if f.v < 0 {
+			return fmt.Errorf("chaos: %s must be >= 0 (0 means the preset default), got %d", f.name, f.v)
 		}
 	}
-
-	probe := func(a ip.Addr, dispatch bool) {
-		checked++
-		wantHop, _ := oracle.Lookup(a, nil)
-		hop, _, ok := snap.Lookup(a)
-		if ok != (wantHop != ip.NoRoute) || (ok && hop != wantHop) {
-			wrong = append(wrong, fmt.Errorf("Lookup(%s) = %d/%v, oracle %d", a, hop, ok, wantHop))
-			return
-		}
-		if dispatch {
-			res, err := rt.Dispatch(a)
-			if err != nil {
-				wrong = append(wrong, fmt.Errorf("Dispatch(%s): %v", a, err))
-				return
-			}
-			if res.Found != (wantHop != ip.NoRoute) || (res.Found && res.Hop != wantHop) {
-				wrong = append(wrong, fmt.Errorf("Dispatch(%s) = %+v, oracle %d", a, res, wantHop))
-			}
-		}
+	if o.MaxDivertRate > 1 {
+		return fmt.Errorf("chaos: MaxDivertRate %v is a contradiction: diverted/dispatched can never exceed 1", o.MaxDivertRate)
 	}
-
-	step := 1
-	if probes > 0 && len(want) > probes {
-		step = len(want) / probes
-	}
-	for i := 0; i < len(want) && len(wrong) < 8; i += step {
-		probe(want[i].Prefix.First(), false)
-		probe(want[i].Prefix.Last(), false)
-	}
-	for i := 0; i < probes && len(wrong) < 8; i++ {
-		probe(ip.Addr(rng.Uint32()), i%4 == 0)
-	}
-	return wrong, checked
-}
-
-// replayTTF runs the op sequence through a fresh onrtc.Updater and sums
-// the cost model's price of every diff — what a writer that applies
-// exactly these ops in exactly this order must have accounted.
-func replayTTF(routes []ip.Route, ups []tracegen.Update) (update.TTF, error) {
-	upd := onrtc.BuildUpdater(trie.FromRoutes(routes))
-	costs := update.DefaultCosts()
-	var sum update.TTF
-	for _, u := range ups {
-		var diff onrtc.Diff
-		switch u.Kind {
-		case tracegen.Announce:
-			diff = upd.Announce(u.Prefix, u.Hop)
-		case tracegen.Withdraw:
-			diff = upd.Withdraw(u.Prefix)
-		default:
-			return update.TTF{}, fmt.Errorf("chaos: ttf replay: unknown update kind %v", u.Kind)
-		}
-		sum = sum.Add(costs.CLUEBound(diff))
-	}
-	return sum, nil
-}
-
-// checkTTFReplay demands the runtime's TTF totals equal replayTTF's over
-// the identical op sequence — the model is deterministic, so any drift
-// means the writer dropped, duplicated or reordered an op.
-func checkTTFReplay(routes []ip.Route, ups []tracegen.Update, got update.TTF, stats update.TTF) error {
-	want, err := replayTTF(routes, ups)
-	if err != nil {
-		return err
-	}
-	for _, pair := range []struct {
-		name      string
-		got, want update.TTF
-	}{
-		{"returned", got, want},
-		{"stats", stats, want},
-	} {
-		if !ttfClose(pair.got, pair.want) {
-			return fmt.Errorf("chaos: %s TTF totals %+v != replay %+v", pair.name, pair.got, pair.want)
-		}
+	if o.Sequential && o.Scenario == tracegen.ScenarioFeedPartition {
+		return errors.New("chaos: Sequential checks one writer's TTF accounting; feed-partition replicates")
 	}
 	return nil
 }
 
-func ttfClose(a, b update.TTF) bool {
-	close := func(x, y float64) bool {
-		return math.Abs(x-y) <= 1e-6*(1+math.Abs(y))
+// bound resolves one contract bound: the declared value unless the
+// option overrides (positive) or disables (negative) it.
+func bound[T time.Duration | float64](declared, override T) T {
+	switch {
+	case override < 0:
+		return 0
+	case override > 0:
+		return override
 	}
-	return close(a.Trie, b.Trie) && close(a.TCAM, b.TCAM) && close(a.DRed, b.DRed)
+	return declared
+}
+
+// PhaseReport is the per-phase slice of a run.
+type PhaseReport struct {
+	Name        string  `json:"name"`
+	Storm       bool    `json:"storm"`
+	Ops         int     `json:"ops"`
+	Checkpoints int     `json:"checkpoints"`
+	Lookups     int64   `json:"lookups"`
+	DivertRate  float64 `json:"divert_rate"`
+	RoutesAfter int     `json:"routes_after"`
+}
+
+// Report is the machine-readable outcome of a run (clue-chaos emits it
+// as JSON). A run only counts as passed when Run also returned nil.
+type Report struct {
+	Scenario string                    `json:"scenario"`
+	Seed     int64                     `json:"seed"`
+	Routes   int                       `json:"routes"`
+	Workers  int                       `json:"workers"`
+	Replicas int                       `json:"replicas"`
+	Mutant   string                    `json:"mutant"`
+	Contract tracegen.ScenarioContract `json:"contract"`
+	Phases   []PhaseReport             `json:"phases"`
+
+	// Faults counts injected faults by kind name (tracegen.FaultKind);
+	// Panics and Rehomes are the runtimes' recovered-panic and
+	// health-recut counters at the end of the run.
+	Faults  map[string]int `json:"faults"`
+	Panics  int64          `json:"panics"`
+	Rehomes int64          `json:"rehomes"`
+
+	// Ops is the program's update count. Lookups is the concurrent
+	// traffic volume; CheckedLookups the oracle-verified probes across
+	// checkpoints. WrongAnswers and UpdateErrors end the run where they
+	// occur; DispatchErrors fail it at the end: forwarding never stops
+	// and never lies while any worker is alive.
+	Ops            int   `json:"ops"`
+	Checkpoints    int   `json:"checkpoints"`
+	CheckedLookups int   `json:"checked_lookups"`
+	WrongAnswers   int   `json:"wrong_answers"`
+	Lookups        int64 `json:"lookups"`
+	DispatchErrors int64 `json:"dispatch_errors"`
+	UpdateErrors   int   `json:"update_errors"`
+
+	// DispatchP99Ns is the whole-run end-to-end dispatch p99 (worst
+	// outcome path, worst runtime), faults and storm included — the
+	// contract's "degraded-mode" latency. DivertRate is
+	// diverted/dispatched over the whole run; StormDivertRate the same
+	// ratio inside the storm phase alone. The Steady fields are Compare's
+	// measurement window — its length, its dispatch count and its
+	// diverted/dispatched — and stay zero on unpaced runs.
+	DispatchP99Ns    float64 `json:"dispatch_p99_ns"`
+	DivertRate       float64 `json:"divert_rate"`
+	StormDivertRate  float64 `json:"storm_divert_rate"`
+	SteadyNs         int64   `json:"steady_ns,omitempty"`
+	SteadyDispatches int64   `json:"steady_dispatches,omitempty"`
+	SteadyDivertRate float64 `json:"steady_divert_rate,omitempty"`
+
+	// Converged reports every current runtime's canonical table hash
+	// matched the oracle's expectation after the storm; ConvergeNs is the
+	// gap between the last storm update completing and the last match.
+	Converged  bool   `json:"converged"`
+	ConvergeNs int64  `json:"converge_ns"`
+	TableHash  string `json:"table_hash"`
+	// TTFChecked reports the Sequential replay equivalence ran (and
+	// held, if Run returned nil).
+	TTFChecked bool `json:"ttf_checked"`
+
+	PeakRoutes       int64 `json:"peak_routes"`
+	FinalRoutes      int   `json:"final_routes"`
+	GoroutinesBefore int   `json:"goroutines_before"`
+	GoroutinesAfter  int   `json:"goroutines_after"`
+
+	// Rebalance carries the first runtime's repartitioning counters.
+	Rebalance serve.RebalanceStats `json:"rebalance"`
+	// Followers is each replica's closing feed statistics; MaxLag the
+	// worst batch lag seen while a replica's apply pipeline was stalled.
+	Followers []feed.FollowerStats `json:"followers,omitempty"`
+	MaxLag    uint64               `json:"max_lag,omitempty"`
+}
+
+// Run generates the named program and replays it. The returned error is
+// non-nil whenever an invariant broke (a wrong answer against the oracle
+// at a checkpoint, a failed dispatch or update, a fault that could not
+// be injected, a recovery that took the wrong path, a TTF replay
+// mismatch, a goroutine leak) or the effective contract did not hold
+// (dispatch p99 cliff, divert-rate overrun, convergence timeout).
+func Run(o Options) (Report, error) {
+	if err := o.Validate(); err != nil {
+		return Report{Scenario: o.Scenario, Seed: o.Seed}, err
+	}
+	o = o.withDefaults()
+	rep, err := generateAndRun(o)
+	if err != nil && o.ReproDir != "" {
+		writeReproducer(o, rep, err)
+	}
+	return rep, err
+}
+
+func generateAndRun(o Options) (Report, error) {
+	sc, err := tracegen.GenScenario(o.Scenario, tracegen.ScenarioConfig{Seed: o.Seed, Routes: o.Routes, StormOps: o.StormOps})
+	if err != nil {
+		return Report{Scenario: o.Scenario, Seed: o.Seed}, err
+	}
+	return run(o, sc)
+}
+
+// run replays one program. Every early return leaves teardown — stop
+// the traffic, release every stall, close followers, collector and
+// runtimes, in that order — to the one deferred h.close.
+func run(o Options, sc *tracegen.Scenario) (Report, error) {
+	contract := tracegen.ScenarioContract{
+		MaxDegradedP99: bound(sc.Contract.MaxDegradedP99, o.MaxDegradedP99),
+		MaxDivertRate:  bound(sc.Contract.MaxDivertRate, o.MaxDivertRate),
+		MaxConverge:    bound(sc.Contract.MaxConverge, o.MaxConverge),
+	}
+	rep := Report{
+		Scenario: sc.Name, Seed: o.Seed, Routes: len(sc.Base), Workers: o.Workers, Replicas: sc.Replicas,
+		Mutant: o.Mutant.String(), Contract: contract, Ops: sc.Ops(), Faults: map[string]int{},
+	}
+	fail := func(format string, args ...any) (Report, error) {
+		return rep, fmt.Errorf("chaos: scenario %s: "+format, append([]any{sc.Name}, args...)...)
+	}
+
+	rep.GoroutinesBefore = runtime.NumGoroutine()
+	h, err := boot(o, sc)
+	if err != nil {
+		return fail("%w", err)
+	}
+	defer h.close()
+
+	model := oracle.NewModel(sc.Base, o.Mutant)
+	probeRNG := rand.New(rand.NewSource(o.Seed + 3))
+	var ttfSum ttf.TTF
+	si := sc.StormPhase()
+	// A window is at most one collector batch when replicated, one op
+	// when Sequential sums per-op TTFs.
+	windowCap := windowMax
+	switch {
+	case sc.Replicas > 0:
+		windowCap = feedBatch
+	case o.Sequential:
+		windowCap = 1
+	}
+	for pi, ph := range sc.Phases {
+		h.phase.Store(int32(pi))
+		disp0, div0 := h.load()
+		pr := PhaseReport{Name: ph.Name, Storm: ph.Storm, Ops: len(ph.Updates)}
+		// checkpoint quiesces and diffs every current runtime against the
+		// canonical compression of the model, rebuilt each time so a model
+		// mutant (deliberate or real divergence) surfaces mid-program; a
+		// wrong answer ends the run there.
+		var table *onrtc.Table
+		checkpoint := func(idx int) error {
+			table = onrtc.Compress(trie.FromRoutes(model.Routes()))
+			wrong, checked := h.checkpoint(table, probeRNG)
+			rep.Checkpoints++
+			pr.Checkpoints++
+			rep.CheckedLookups += checked
+			rep.WrongAnswers += len(wrong)
+			o.logf("scenario %s: phase %s op %6d/%d — checkpoint %d, %d probes, %d wrong, %d routes",
+				sc.Name, ph.Name, idx, len(ph.Updates), rep.Checkpoints, checked, len(wrong), h.rts[0].Snapshot().Len())
+			if len(wrong) > 0 {
+				return fmt.Errorf("%d wrong answers vs oracle at phase %s op %d (first: %w)", len(wrong), ph.Name, idx, wrong[0])
+			}
+			return nil
+		}
+
+		cpEvery := max(1, (len(ph.Updates)+o.Checkpoints-1)/o.Checkpoints)
+		faults := ph.Faults
+		for idx := 0; ; {
+			for len(faults) > 0 && (faults[0].At <= idx || idx == len(ph.Updates)) {
+				if err := h.inject(faults[0], &rep); err != nil {
+					return fail("phase %s op %d: fault %s(%d): %w", ph.Name, idx, faults[0].Kind, faults[0].Target, err)
+				}
+				o.logf("scenario %s: phase %s op %6d — %s(%d)", sc.Name, ph.Name, idx, faults[0].Kind, faults[0].Target)
+				faults = faults[1:]
+			}
+			if idx == len(ph.Updates) {
+				break
+			}
+			// A submission window never crosses a fault or checkpoint
+			// boundary and never repeats a prefix, so its ops commute.
+			limit := min(idx+windowCap, (idx/cpEvery+1)*cpEvery, len(ph.Updates))
+			if len(faults) > 0 {
+				limit = min(limit, faults[0].At)
+			}
+			end := idx + 1
+			seen := map[ip.Prefix]struct{}{ph.Updates[idx].Prefix: {}}
+			for ; end < limit; end++ {
+				if _, dup := seen[ph.Updates[end].Prefix]; dup {
+					break
+				}
+				seen[ph.Updates[end].Prefix] = struct{}{}
+			}
+			window := ph.Updates[idx:end]
+			cost, err := h.apply(window)
+			if err != nil {
+				rep.UpdateErrors++
+				return fail("phase %s window at op %d: %w", ph.Name, idx, err)
+			}
+			if o.Sequential {
+				ttfSum = ttfSum.Add(cost)
+			}
+			for _, u := range window {
+				if u.Kind == tracegen.Announce {
+					model.Announce(u.Prefix, u.Hop)
+				} else {
+					model.Withdraw(u.Prefix)
+				}
+			}
+			idx = end
+			if idx%cpEvery == 0 && idx < len(ph.Updates) {
+				if err := checkpoint(idx); err != nil {
+					return fail("%w", err)
+				}
+			}
+		}
+		if pi == len(sc.Phases)-1 {
+			// The program is over: whatever it left cut or stalled heals,
+			// so its closing checkpoint covers every runtime.
+			if err := h.healAll(); err != nil {
+				return fail("final heal: %w", err)
+			}
+		}
+		if err := checkpoint(len(ph.Updates)); err != nil {
+			return fail("%w", err)
+		}
+
+		if pi == si {
+			// The convergence clock starts once the storm's last update is
+			// accepted and checked; the expected hash is the closing
+			// checkpoint's table, digested by the feed wire-format hash
+			// (independent of serve's implementation).
+			want := feed.CanonicalHash(table.Routes())
+			rep.Converged, rep.ConvergeNs = h.awaitConvergence(want, cmp.Or(contract.MaxConverge, 10*time.Second))
+			o.logf("scenario %s: storm done — converged=%v in %s (hash %016x)",
+				sc.Name, rep.Converged, time.Duration(rep.ConvergeNs), want)
+			if !rep.Converged {
+				return fail("table never converged to oracle hash %016x within %v", want, contract.MaxConverge)
+			}
+		}
+		if o.paced {
+			h.hold(pi, si, &rep)
+		}
+
+		disp1, div1 := h.load()
+		pr.Lookups = h.phaseLookups[pi].Load()
+		pr.DivertRate = ratio(div1-div0, disp1-disp0)
+		pr.RoutesAfter = h.rts[0].Snapshot().Len()
+		rep.Phases = append(rep.Phases, pr)
+		if pi == si {
+			rep.StormDivertRate = pr.DivertRate
+		}
+	}
+
+	h.stopTraffic()
+	h.collect(&rep)
+	if o.Sequential {
+		var ups []tracegen.Update
+		for _, ph := range sc.Phases {
+			ups = append(ups, ph.Updates...)
+		}
+		if err := checkTTFReplay(sc.Base, ups, ttfSum, h.rts[0].Stats().TTFTotals); err != nil {
+			return fail("%w", err)
+		}
+		rep.TTFChecked = true
+	}
+	h.close()
+	rep.GoroutinesAfter = awaitGoroutines(rep.GoroutinesBefore)
+
+	var hashChecks, hashMismatches uint64
+	for _, f := range rep.Followers {
+		hashChecks += f.HashChecks
+		hashMismatches += f.HashMismatches
+	}
+	switch {
+	// Under Compare's deliberate overload a few dispatches legitimately
+	// exhaust their budget.
+	case rep.DispatchErrors > 0 && !o.paced:
+		return fail("%d dispatches failed their retry/timeout budget", rep.DispatchErrors)
+	case contract.MaxConverge > 0 && rep.ConvergeNs > contract.MaxConverge.Nanoseconds():
+		return fail("time-to-converge %v exceeds the contract bound %v", time.Duration(rep.ConvergeNs), contract.MaxConverge)
+	case contract.MaxDegradedP99 > 0 && rep.DispatchP99Ns > float64(contract.MaxDegradedP99.Nanoseconds()):
+		return fail("dispatch p99 %.0fns exceeds the contract bound %v", rep.DispatchP99Ns, contract.MaxDegradedP99)
+	case contract.MaxDivertRate > 0 && rep.DivertRate > contract.MaxDivertRate:
+		return fail("divert rate %.3f exceeds the contract bound %.3f (storm-window rate %.3f)",
+			rep.DivertRate, contract.MaxDivertRate, rep.StormDivertRate)
+	case sc.Replicas > 0 && hashChecks == 0:
+		return fail("no feed hash verifications ran")
+	case hashMismatches != 0:
+		return fail("%d feed hash mismatches (replicas drifted mid-stream)", hashMismatches)
+	case rep.GoroutinesAfter > rep.GoroutinesBefore:
+		return fail("goroutine leak: %d before, %d after close", rep.GoroutinesBefore, rep.GoroutinesAfter)
+	}
+	return rep, nil
+}
+
+func ratio(num, den int64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // awaitGoroutines waits for the goroutine count to drop back to the
@@ -621,8 +484,8 @@ func awaitGoroutines(before int) int {
 	return runtime.NumGoroutine()
 }
 
-func logf(w io.Writer, format string, args ...any) {
-	if w != nil {
-		fmt.Fprintf(w, format+"\n", args...)
+func (o Options) logf(format string, args ...any) {
+	if o.Log != nil {
+		fmt.Fprintf(o.Log, format+"\n", args...)
 	}
 }

@@ -2,15 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"clue/internal/ip"
-	"clue/internal/serve"
+	"clue/internal/chaos"
 	"clue/internal/stats"
-	"clue/internal/tracegen"
 )
 
 // RebalanceRow is one leg of the closed-loop repartitioning figure.
@@ -22,7 +17,8 @@ type RebalanceRow struct {
 	MovedRoutes   int64
 }
 
-// RebalanceResult is the load-aware repartitioning figure: the serve
+// RebalanceResult is the load-aware repartitioning figure: the fault
+// harness's paced flash-crowd comparison (chaos.Compare) — the serve
 // runtime under service-paced inverted-Zipf traffic whose hot head
 // overloads one home partition, measured with the static even carve and
 // with the repartitioning controller. The controller's recut should
@@ -31,7 +27,7 @@ type RebalanceResult struct {
 	Routes  int
 	Workers int
 	// CapacityPerSec is each worker's nominal service rate (1/pace);
-	// OfferedPerSec the measured off-leg dispatch rate.
+	// OfferedPerSec the off leg's measured steady-state dispatch rate.
 	CapacityPerSec float64
 	OfferedPerSec  float64
 	Rows           []RebalanceRow
@@ -39,146 +35,40 @@ type RebalanceResult struct {
 	Improvement float64
 }
 
-// Wall-clock shape of one leg. The capacity model is real time (paced
-// workers), so these do not scale with Scale — only the table does.
-const (
-	rebWorkers  = 4
-	rebDepth    = 6
-	rebPace     = 2 * time.Millisecond
-	rebLookers  = 120
-	rebThink    = 80 * time.Millisecond
-	rebInterval = 500 * time.Millisecond
-	rebAdapt    = 3500 * time.Millisecond
-	rebMeasure  = 1500 * time.Millisecond
-)
-
-// RebalanceClosedLoop measures both legs over the same compressed table
-// and traffic seeds.
+// RebalanceClosedLoop runs both legs over the same program and traffic
+// seeds. The capacity model is real time (paced workers), so only the
+// table scales with Scale. The figure reports the improvement whatever
+// it is; holding it to the declared margin is clue-chaos
+// -compare-rebalance's job.
 func RebalanceClosedLoop(scale Scale) (*RebalanceResult, error) {
 	if err := scale.validate(); err != nil {
 		return nil, err
 	}
-	fib, err := scale.buildFIB(900)
+	off, on, err := chaos.Compare(chaos.Options{Seed: scale.Seed + 900, Routes: scale.FIBSize})
 	if err != nil {
 		return nil, err
 	}
-	table, err := compressFIB(fib)
-	if err != nil {
-		return nil, err
+	if off.SteadyDispatches == 0 || on.SteadyDispatches == 0 {
+		return nil, fmt.Errorf("experiments: rebalance leg measured no dispatches")
 	}
-	routes := table.Routes()
-
 	res := &RebalanceResult{
-		Routes:         len(routes),
-		Workers:        rebWorkers,
-		CapacityPerSec: float64(time.Second) / float64(rebPace),
+		Routes:         off.Routes,
+		Workers:        off.Workers,
+		CapacityPerSec: float64(time.Second) / float64(chaos.ServicePace),
+		OfferedPerSec:  float64(off.SteadyDispatches) / time.Duration(off.SteadyNs).Seconds(),
 	}
-	off, err := rebalanceLeg(scale, routes, serve.RebalanceConfig{})
-	if err != nil {
-		return nil, err
-	}
-	on, err := rebalanceLeg(scale, routes, serve.RebalanceConfig{
-		Interval:        rebInterval,
-		MaxMoveFraction: 0.5,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.OfferedPerSec = off.offeredPerSec
-	res.Rows = []RebalanceRow{off.row("static even carve"), on.row("rebalancing on")}
-	if off.divertRate > 0 {
-		res.Improvement = 1 - on.divertRate/off.divertRate
-	}
-	return res, nil
-}
-
-type rebalanceLegResult struct {
-	divertRate    float64
-	offeredPerSec float64
-	p99Ms         float64
-	st            serve.Stats
-}
-
-func (l rebalanceLegResult) row(mode string) RebalanceRow {
-	return RebalanceRow{
-		Mode:          mode,
-		DivertRate:    l.divertRate,
-		DispatchP99Ms: l.p99Ms,
-		Recuts:        l.st.Rebalance.Recuts,
-		MovedRoutes:   l.st.Rebalance.MovedRoutes,
-	}
-}
-
-// rebalanceLeg runs one leg: a paced runtime under semi-open-loop
-// inverted-Zipf traffic (shared popularity ranking, per-looker draws),
-// held through an adaptation window, then measured over a steady-state
-// window bracketed by stats snapshots.
-func rebalanceLeg(scale Scale, routes []ip.Route, reb serve.RebalanceConfig) (rebalanceLegResult, error) {
-	var leg rebalanceLegResult
-	rt, err := serve.New(routes, serve.Config{
-		Workers:     rebWorkers,
-		QueueDepth:  rebDepth,
-		ServicePace: rebPace,
-		Rebalance:   reb,
-	})
-	if err != nil {
-		return leg, err
-	}
-	defer rt.Close()
-
-	population := tracegen.PrefixesFromRoutes(routes)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var dispatched atomic.Int64
-	for i := 0; i < rebLookers; i++ {
-		tr, terr := tracegen.NewTraffic(population, tracegen.TrafficConfig{
-			Seed:     scale.Seed + 901,
-			DrawSeed: scale.Seed + 9100 + int64(i),
-			ZipfS:    1.2,
-			Invert:   true,
-		})
-		if terr != nil {
-			close(stop)
-			wg.Wait()
-			return leg, terr
+	row := func(mode string, leg chaos.Report) RebalanceRow {
+		return RebalanceRow{
+			Mode:          mode,
+			DivertRate:    leg.SteadyDivertRate,
+			DispatchP99Ms: leg.DispatchP99Ns / 1e6,
+			Recuts:        leg.Rebalance.Recuts,
+			MovedRoutes:   leg.Rebalance.MovedRoutes,
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			jit := rand.New(rand.NewSource(scale.Seed + 9500 + int64(i)))
-			pause := rebThink * time.Duration(i) / time.Duration(rebLookers)
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(pause):
-				}
-				if _, derr := rt.Dispatch(tr.Next()); derr == nil {
-					dispatched.Add(1)
-				}
-				pause = rebThink/2 + rebThink/4 + time.Duration(jit.Int63n(int64(rebThink)/2))
-			}
-		}(i)
 	}
-
-	start := time.Now()
-	time.Sleep(rebAdapt)
-	before := rt.Stats()
-	time.Sleep(rebMeasure)
-	after := rt.Stats()
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
-
-	leg.st = rt.Stats()
-	window := after.Dispatched - before.Dispatched
-	if window == 0 {
-		return leg, fmt.Errorf("experiments: rebalance leg measured no dispatches")
-	}
-	leg.divertRate = float64(after.Diverted-before.Diverted) / float64(window)
-	leg.offeredPerSec = float64(dispatched.Load()) / elapsed.Seconds()
-	leg.p99Ms = leg.st.Latency.DispatchP99Ns() / 1e6
-	return leg, nil
+	res.Rows = []RebalanceRow{row("static even carve", off), row("rebalancing on", on)}
+	res.Improvement, _ = chaos.Improvement(off, on)
+	return res, nil
 }
 
 // Render produces the figure's table.

@@ -1,15 +1,15 @@
 package tracegen
 
-// Adversarial routing-plane scenarios: deterministic seeded programs
-// that script a whole control-plane failure — the base FIB, a warmup
-// churn, the storm itself and a cooldown — as phased update streams
-// plus a traffic spec per phase, with a declared quantitative contract.
-// The chaos scenario driver (internal/chaos) replays them against a
-// live serve.Runtime; these generators only decide *what happens*, so
-// the same seed always produces the byte-identical program (pinned by
-// the golden-trace tests).
+// Adversarial scenarios: deterministic seeded programs that script a
+// whole failure — the base FIB, a warmup churn, the storm itself and a
+// cooldown — as phased update streams plus, per phase, a traffic spec
+// and a fault list, with a declared quantitative contract and a replica
+// count. The fault harness (internal/chaos) replays them against live
+// serve runtimes; these generators only decide *what happens*, so the
+// same seed always produces the byte-identical program (pinned by the
+// golden-trace tests).
 //
-// The four scenarios:
+// The six scenarios:
 //
 //   - session-reset: a full-table BGP session flap — every live route
 //     withdrawn in seeded shuffled order, then the exact table
@@ -25,6 +25,12 @@ package tracegen
 //     head inverts mid-run (same prefix population, reversed
 //     popularity), defeating the home-partition carve and every divert
 //     cache at once.
+//   - worker-faults: benign churn while partition workers are killed,
+//     poisoned, stalled, recovered and the carve is forcibly recut, in
+//     three cycles.
+//   - feed-partition: the same churn replicated through a collector to
+//     two followers while one link is cut briefly, the other beyond the
+//     replay window, an apply pipeline stalls and the collector restarts.
 import (
 	"fmt"
 	"io"
@@ -44,11 +50,63 @@ const (
 	ScenarioRouteLeak    = "route-leak"
 	ScenarioUpdateBurst  = "update-burst"
 	ScenarioFlashCrowd   = "flash-crowd"
+
+	ScenarioWorkerFaults  = "worker-faults"
+	ScenarioFeedPartition = "feed-partition"
 )
 
 // ScenarioNames lists the known scenarios in a fixed order.
 func ScenarioNames() []string {
-	return []string{ScenarioSessionReset, ScenarioRouteLeak, ScenarioUpdateBurst, ScenarioFlashCrowd}
+	return []string{ScenarioSessionReset, ScenarioRouteLeak, ScenarioUpdateBurst, ScenarioFlashCrowd,
+		ScenarioWorkerFaults, ScenarioFeedPartition}
+}
+
+// FaultKind names one injectable fault. Worker faults hit every serving
+// runtime; link, applier and collector faults need Scenario.Replicas > 0.
+type FaultKind uint8
+
+const (
+	// FaultKill fails a worker through the operator API; FaultPoison
+	// makes it panic mid-service. FaultRecover returns either to service.
+	FaultKill FaultKind = iota + 1
+	FaultPoison
+	// FaultStall wedges a worker's queue; FaultRelease frees every
+	// stalled queue.
+	FaultStall
+	FaultRelease
+	FaultRecover
+	// FaultCut takes a replica's link down (dials fail) until FaultHeal.
+	FaultCut
+	FaultHeal
+	// FaultStallApplier blocks a replica's apply pipeline with its
+	// connection intact until FaultReleaseApplier.
+	FaultStallApplier
+	FaultReleaseApplier
+	// FaultRestartCollector hands the collector's state to a successor.
+	FaultRestartCollector
+	// FaultRecut forces a load-aware repartitioning pass.
+	FaultRecut
+)
+
+var faultNames = [...]string{"", "kill", "poison", "stall", "release", "recover", "cut", "heal",
+	"stall-applier", "release-applier", "restart-collector", "recut"}
+
+// String names the kind (the key of the harness's fault counters).
+func (k FaultKind) String() string {
+	if int(k) < len(faultNames) && k != 0 {
+		return faultNames[k]
+	}
+	return fmt.Sprintf("FaultKind(%d)", uint8(k))
+}
+
+// Fault is one scheduled injection: it fires before the phase's update
+// number At (or at the end of the phase when At is past the last one).
+// Target is a worker index, reduced modulo the runtime's worker count,
+// or a replica index; kinds that take neither ignore it.
+type Fault struct {
+	At     int
+	Kind   FaultKind
+	Target int
 }
 
 // TrafficSpec is the lookup-traffic shape a phase runs under (the
@@ -77,24 +135,27 @@ type ScenarioContract struct {
 }
 
 // ScenarioPhase is one stretch of the program: an ordered update stream
-// (possibly empty — flash-crowd storms are traffic-only) and the
-// traffic spec in force while it plays.
+// (possibly empty), the traffic spec in force while it plays and the
+// faults injected along it, ordered by At.
 type ScenarioPhase struct {
 	Name    string
 	Storm   bool
 	Updates []Update
 	Traffic TrafficSpec
+	Faults  []Fault
 }
 
-// Scenario is a fully generated program: the base FIB the runtime
-// boots from, the phases to replay in order, and the contract to hold
-// the run to.
+// Scenario is a fully generated program: the base FIB the runtimes
+// boot from, the phases to replay in order, the contract to hold the
+// run to, and the topology — Replicas 0 applies updates straight to one
+// runtime, N streams them through a feed collector to N followers.
 type Scenario struct {
 	Name     string
 	Cfg      ScenarioConfig
 	Base     []ip.Route
 	Phases   []ScenarioPhase
 	Contract ScenarioContract
+	Replicas int
 }
 
 // Ops returns the total update count across phases.
@@ -211,6 +272,12 @@ func GenScenario(name string, cfg ScenarioConfig) (*Scenario, error) {
 		b.buildUpdateBurst(sc)
 	case ScenarioFlashCrowd:
 		b.buildFlashCrowd(sc)
+	case ScenarioWorkerFaults:
+		b.buildWorkerFaults(sc)
+	case ScenarioFeedPartition:
+		if err := b.buildFeedPartition(sc); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("tracegen: unknown scenario %q (known: %v)", name, ScenarioNames())
 	}
@@ -255,6 +322,37 @@ func (b *scenarioBuilder) storm(kind UpdateKind, p ip.Prefix, hop ip.NextHop) Up
 	return u
 }
 
+// stormOps sizes a storm drawn from the churn generator: the configured
+// StormOps, or def when the caller left it to the scenario.
+func (b *scenarioBuilder) stormOps(def int) int {
+	if b.cfg.StormOps != 0 {
+		return b.cfg.StormOps
+	}
+	return def
+}
+
+// stormContract is the bound set of every storm that does not set out
+// to divert: degraded mode may divert, it may not cliff.
+var stormContract = ScenarioContract{
+	MaxDegradedP99: 500 * time.Millisecond,
+	MaxDivertRate:  0.5,
+	MaxConverge:    10 * time.Second,
+}
+
+// program assembles the common three-phase shape — benign warmup, the
+// storm, benign cooldown. The cooldown is drawn last, after the storm
+// has left the churn generator's live view where the phases left the
+// table.
+func (b *scenarioBuilder) program(sc *Scenario, warm []Update, storm ScenarioPhase, contract ScenarioContract) {
+	storm.Storm = true
+	sc.Phases = []ScenarioPhase{
+		{Name: "warmup", Updates: warm, Traffic: benignTraffic},
+		storm,
+		{Name: "cooldown", Updates: b.churn(b.cfg.CooldownOps), Traffic: benignTraffic},
+	}
+	sc.Contract = contract
+}
+
 func (b *scenarioBuilder) buildSessionReset(sc *Scenario) {
 	warm := b.churn(b.cfg.WarmupOps)
 	live := b.gen.LiveRoutes()
@@ -269,16 +367,7 @@ func (b *scenarioBuilder) buildSessionReset(sc *Scenario) {
 	for _, i := range b.rng.Perm(len(live)) {
 		storm = append(storm, b.storm(Announce, live[i].Prefix, live[i].NextHop))
 	}
-	sc.Phases = []ScenarioPhase{
-		{Name: "warmup", Updates: warm, Traffic: benignTraffic},
-		{Name: "reset", Storm: true, Updates: storm, Traffic: benignTraffic},
-		{Name: "cooldown", Updates: b.churn(b.cfg.CooldownOps), Traffic: benignTraffic},
-	}
-	sc.Contract = ScenarioContract{
-		MaxDegradedP99: 500 * time.Millisecond,
-		MaxDivertRate:  0.5,
-		MaxConverge:    10 * time.Second,
-	}
+	b.program(sc, warm, ScenarioPhase{Name: "reset", Updates: storm, Traffic: benignTraffic}, stormContract)
 }
 
 func (b *scenarioBuilder) buildRouteLeak(sc *Scenario) error {
@@ -347,73 +436,115 @@ func (b *scenarioBuilder) buildRouteLeak(sc *Scenario) error {
 	for _, i := range retract {
 		storm = append(storm, b.storm(Withdraw, leaked[i].Prefix, 0))
 	}
-	sc.Phases = []ScenarioPhase{
-		{Name: "warmup", Updates: warm, Traffic: benignTraffic},
-		{Name: "leak", Storm: true, Updates: storm, Traffic: benignTraffic},
-		{Name: "cooldown", Updates: b.churn(b.cfg.CooldownOps), Traffic: benignTraffic},
-	}
-	sc.Contract = ScenarioContract{
-		MaxDegradedP99: 500 * time.Millisecond,
-		MaxDivertRate:  0.5,
-		MaxConverge:    10 * time.Second,
-	}
+	b.program(sc, warm, ScenarioPhase{Name: "leak", Updates: storm, Traffic: benignTraffic}, stormContract)
 	return nil
 }
 
 func (b *scenarioBuilder) buildUpdateBurst(sc *Scenario) {
 	warm := b.churn(b.cfg.WarmupOps)
-	stormOps := b.cfg.StormOps
-	if stormOps == 0 {
-		stormOps = 4 * b.cfg.WarmupOps
-	}
 	// The storm is the benign mix at 100× the paper's peak rate: the
 	// generator supplies the (self-consistent) update choices, the
 	// builder restamps them onto burst spacing.
-	storm := b.gen.NextN(stormOps)
+	storm := b.gen.NextN(b.stormOps(4 * b.cfg.WarmupOps))
 	for i := range storm {
 		b.stamp(&storm[i], time.Second/(100*paperPeakPerSec))
 	}
-	sc.Phases = []ScenarioPhase{
-		{Name: "warmup", Updates: warm, Traffic: benignTraffic},
-		{Name: "burst", Storm: true, Updates: storm, Traffic: benignTraffic},
-		{Name: "cooldown", Updates: b.churn(b.cfg.CooldownOps), Traffic: benignTraffic},
-	}
-	sc.Contract = ScenarioContract{
-		MaxDegradedP99: 500 * time.Millisecond,
-		MaxDivertRate:  0.5,
-		MaxConverge:    10 * time.Second,
-	}
+	b.program(sc, warm, ScenarioPhase{Name: "burst", Updates: storm, Traffic: benignTraffic}, stormContract)
 }
 
 func (b *scenarioBuilder) buildFlashCrowd(sc *Scenario) {
 	warm := b.churn(b.cfg.WarmupOps)
-	stormOps := b.cfg.StormOps
-	if stormOps == 0 {
-		stormOps = b.cfg.WarmupOps / 2
-	}
 	// The routing plane stays calm (light background churn); the attack
 	// is the traffic spec: same population, popularity ranking reversed
 	// and burstier — every divert cache goes cold at once and the
 	// hottest home partitions flip.
-	sc.Phases = []ScenarioPhase{
-		{Name: "warmup", Updates: warm, Traffic: benignTraffic},
-		{Name: "flip", Storm: true, Updates: b.churn(stormOps),
-			Traffic: TrafficSpec{ZipfS: 1.2, Repeat: 0.5, Invert: true}},
-		{Name: "cooldown", Updates: b.churn(b.cfg.CooldownOps), Traffic: benignTraffic},
-	}
-	sc.Contract = ScenarioContract{
-		// Inverted-head traffic is allowed to divert heavily — that is
-		// the mechanism under test — but the cascade must stay bounded
-		// and the tail must not cliff.
+	flip := ScenarioPhase{Name: "flip", Updates: b.churn(b.stormOps(b.cfg.WarmupOps / 2)),
+		Traffic: TrafficSpec{ZipfS: 1.2, Repeat: 0.5, Invert: true}}
+	// Inverted-head traffic is allowed to divert heavily — that is the
+	// mechanism under test — but the cascade must stay bounded and the
+	// tail must not cliff.
+	b.program(sc, warm, flip, ScenarioContract{
 		MaxDegradedP99: time.Second,
 		MaxDivertRate:  0.98,
 		MaxConverge:    10 * time.Second,
+	})
+}
+
+// faultCycles is how many kill/recover cycles worker-faults spreads over
+// its storm.
+const faultCycles = 3
+
+func (b *scenarioBuilder) buildWorkerFaults(sc *Scenario) {
+	warm := b.churn(b.cfg.WarmupOps)
+	storm := b.churn(b.stormOps(4 * b.cfg.WarmupOps))
+	// Per cycle one worker goes down at the quarter mark (operator fail
+	// on even cycles, injected panic on odd), its neighbour's queue
+	// stalls at the half and is released at five eighths, the victim
+	// recovers at three quarters and the carve is forcibly recut over
+	// whatever traffic the sketches saw in between.
+	var faults []Fault
+	cycle := len(storm) / faultCycles
+	for c := 0; c < faultCycles; c++ {
+		at, victim, kind := c*cycle, b.rng.Intn(64), FaultKill
+		if c%2 == 1 {
+			kind = FaultPoison
+		}
+		faults = append(faults,
+			Fault{at + cycle/4, kind, victim},
+			Fault{at + cycle/2, FaultStall, victim + 1},
+			Fault{at + cycle*5/8, FaultRelease, 0},
+			Fault{at + cycle*3/4, FaultRecover, victim},
+			Fault{at + cycle*7/8, FaultRecut, 0},
+		)
 	}
+	// Failure handling re-homes rather than diverts and a stall diverts
+	// only its own partition; the tail bound is the dispatch path's own
+	// 1s enqueue budget — a dispatch that succeeded slower than the
+	// budget for failing means the backoff path wedged.
+	b.program(sc, warm, ScenarioPhase{Name: "faults", Updates: storm, Traffic: benignTraffic, Faults: faults},
+		ScenarioContract{MaxDegradedP99: time.Second, MaxDivertRate: 0.5, MaxConverge: 10 * time.Second})
+}
+
+// The feed-partition cuts are sized in ops against the harness's replay
+// window (16 batches of at most 4 ops): the brief cut misses a handful
+// of batches and must resume, the long one misses at least one and a
+// half windows and must re-snapshot. feedStormFloor is the smallest
+// storm that heals the long cut before the collector restarts.
+const (
+	feedBriefCutOps = 16
+	feedLongCutOps  = 96
+	feedStormFloor  = 256
+)
+
+func (b *scenarioBuilder) buildFeedPartition(sc *Scenario) error {
+	n := b.stormOps(4 * b.cfg.WarmupOps)
+	if n < feedStormFloor {
+		return fmt.Errorf("tracegen: feed-partition's fault schedule needs a storm of at least %d ops, got %d", feedStormFloor, n)
+	}
+	warm := b.churn(b.cfg.WarmupOps)
+	// Seeded jitter keeps runs seed-distinct without letting two faults
+	// on one replica overlap; the two cuts are on different replicas and
+	// may.
+	jit := func() int { return b.rng.Intn(n / 32) }
+	brief, long, stall, restart := n/8+jit(), n/4+jit(), n/2+jit(), n*3/4+jit()
+	faults := []Fault{
+		{brief, FaultCut, 0},
+		{brief + feedBriefCutOps, FaultHeal, 0},
+		{long, FaultCut, 1},
+		{long + feedLongCutOps, FaultHeal, 1},
+		{stall, FaultStallApplier, 0},
+		{stall + n/8, FaultReleaseApplier, 0},
+		{restart, FaultRestartCollector, 0},
+	}
+	sort.SliceStable(faults, func(i, j int) bool { return faults[i].At < faults[j].At })
+	sc.Replicas = 2
+	b.program(sc, warm, ScenarioPhase{Name: "partition", Updates: b.churn(n), Traffic: benignTraffic, Faults: faults}, stormContract)
+	return nil
 }
 
 // ExportScenario writes the scenario as a deterministic text program:
-// a scenario header, then per phase a header line and the phase's
-// updates in the ribio interchange format. Same scenario ⇒ byte-
+// a scenario header, then per phase a header line, one line per fault
+// and the phase's updates in the ribio interchange format. Same scenario ⇒ byte-
 // identical output (the golden tests pin this).
 func ExportScenario(w io.Writer, sc *Scenario) error {
 	if _, err := fmt.Fprintf(w,
@@ -426,6 +557,11 @@ func ExportScenario(w io.Writer, sc *Scenario) error {
 		if _, err := fmt.Fprintf(w, "# phase: %s storm=%v updates=%d zipf=%g repeat=%g invert=%v\n",
 			ph.Name, ph.Storm, len(ph.Updates), ph.Traffic.ZipfS, ph.Traffic.Repeat, ph.Traffic.Invert); err != nil {
 			return fmt.Errorf("tracegen: %w", err)
+		}
+		for _, f := range ph.Faults {
+			if _, err := fmt.Fprintf(w, "# fault: at=%d kind=%s target=%d\n", f.At, f.Kind, f.Target); err != nil {
+				return fmt.Errorf("tracegen: %w", err)
+			}
 		}
 		if err := ribio.WriteUpdates(w, Records(ph.Updates)); err != nil {
 			return err

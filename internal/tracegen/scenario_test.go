@@ -16,9 +16,10 @@ import (
 
 // scenarioTestConfig is the pinned shape of the scenario goldens: small
 // enough to keep the files reviewable, large enough that every phase is
-// non-trivial.
-func scenarioTestConfig() ScenarioConfig {
-	return ScenarioConfig{
+// non-trivial. feed-partition's fault schedule is sized against the
+// harness's replay window and has a storm floor.
+func scenarioTestConfig(name string) ScenarioConfig {
+	cfg := ScenarioConfig{
 		Seed:        7,
 		Routes:      150,
 		WarmupOps:   24,
@@ -27,6 +28,10 @@ func scenarioTestConfig() ScenarioConfig {
 		LeakCovers:  2,
 		LeakFanout:  16,
 	}
+	if name == ScenarioFeedPartition {
+		cfg.StormOps = feedStormFloor
+	}
+	return cfg
 }
 
 func exportScenarioBytes(t *testing.T, name string, cfg ScenarioConfig) (*Scenario, []byte) {
@@ -50,7 +55,7 @@ func exportScenarioBytes(t *testing.T, name string, cfg ScenarioConfig) (*Scenar
 func TestScenarioGolden(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		t.Run(name, func(t *testing.T) {
-			_, got := exportScenarioBytes(t, name, scenarioTestConfig())
+			_, got := exportScenarioBytes(t, name, scenarioTestConfig(name))
 			golden := filepath.Join("testdata", "golden_scenario_"+name+".txt")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -77,7 +82,7 @@ func TestScenarioGolden(t *testing.T) {
 func TestScenarioDeterministic(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		t.Run(name, func(t *testing.T) {
-			cfg := scenarioTestConfig()
+			cfg := scenarioTestConfig(name)
 			_, a := exportScenarioBytes(t, name, cfg)
 			_, b := exportScenarioBytes(t, name, cfg)
 			cfg.Seed = 8
@@ -97,11 +102,14 @@ func TestScenarioDeterministic(t *testing.T) {
 // a contract with every bound set, and the scenario-specific shape
 // (full withdraw+restore for session-reset, /24 flood+full retraction
 // for route-leak, inverted storm traffic for flash-crowd, burst pacing
-// for update-burst).
+// for update-burst, three complete kill/stall/recover/recut cycles for
+// worker-faults, two replicas with a resumable cut, an over-window cut,
+// an applier stall and a collector restart for feed-partition). Only
+// feed-partition replicates, and every fault list is ordered and paired.
 func TestScenarioShapes(t *testing.T) {
-	cfg := scenarioTestConfig()
 	for _, name := range ScenarioNames() {
 		t.Run(name, func(t *testing.T) {
+			cfg := scenarioTestConfig(name)
 			sc, err := GenScenario(name, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -128,7 +136,59 @@ func TestScenarioShapes(t *testing.T) {
 				}
 			}
 			storm := sc.Phases[si]
+			if (sc.Replicas > 0) != (name == ScenarioFeedPartition) {
+				t.Fatalf("replicas = %d", sc.Replicas)
+			}
+			kinds := map[FaultKind]int{}
+			for _, ph := range sc.Phases {
+				for i, f := range ph.Faults {
+					if f.At < 0 || f.At >= len(ph.Updates) || (i > 0 && f.At < ph.Faults[i-1].At) {
+						t.Fatalf("phase %s fault %d (%+v) out of order or range", ph.Name, i, f)
+					}
+					kinds[f.Kind]++
+				}
+			}
+			if len(kinds) > 0 && name != ScenarioWorkerFaults && name != ScenarioFeedPartition {
+				t.Fatalf("storm program carries faults: %v", kinds)
+			}
 			switch name {
+			case ScenarioWorkerFaults:
+				if kinds[FaultKill]+kinds[FaultPoison] != faultCycles || kinds[FaultPoison] == 0 ||
+					kinds[FaultRecover] != faultCycles || kinds[FaultStall] != faultCycles ||
+					kinds[FaultRelease] != faultCycles || kinds[FaultRecut] != faultCycles {
+					t.Fatalf("fault cycles incomplete: %v", kinds)
+				}
+				for i := 0; i < len(storm.Faults); i += 5 {
+					down, stall, up := storm.Faults[i], storm.Faults[i+1], storm.Faults[i+3]
+					if up.Kind != FaultRecover || up.Target != down.Target || stall.Target != down.Target+1 {
+						t.Fatalf("cycle at fault %d does not recover its own victim: %+v", i, storm.Faults[i:i+5])
+					}
+				}
+			case ScenarioFeedPartition:
+				want := map[FaultKind]int{FaultCut: 2, FaultHeal: 2, FaultStallApplier: 1, FaultReleaseApplier: 1, FaultRestartCollector: 1}
+				for k, n := range want {
+					if kinds[k] != n {
+						t.Fatalf("fault %s scheduled %d times, want %d (%v)", k, kinds[k], n, kinds)
+					}
+				}
+				cutAt := map[int]int{}
+				for _, f := range storm.Faults {
+					switch f.Kind {
+					case FaultCut:
+						cutAt[f.Target] = f.At
+					case FaultHeal:
+						if gap := f.At - cutAt[f.Target]; gap != []int{feedBriefCutOps, feedLongCutOps}[f.Target] {
+							t.Fatalf("replica %d cut lasts %d ops", f.Target, gap)
+						}
+					case FaultRestartCollector:
+						if f.At <= cutAt[1]+feedLongCutOps {
+							t.Fatalf("collector restarts at %d while replica 1 is still cut", f.At)
+						}
+					}
+				}
+				if _, err := GenScenario(name, ScenarioConfig{Seed: 7, Routes: 150, StormOps: feedStormFloor - 1}); err == nil {
+					t.Fatal("storm below the schedule floor accepted")
+				}
 			case ScenarioSessionReset:
 				n := len(storm.Updates)
 				if n == 0 || n%2 != 0 {
@@ -200,7 +260,7 @@ func TestScenarioShapes(t *testing.T) {
 func TestScenarioExportParses(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		t.Run(name, func(t *testing.T) {
-			sc, raw := exportScenarioBytes(t, name, scenarioTestConfig())
+			sc, raw := exportScenarioBytes(t, name, scenarioTestConfig(name))
 			if sc.Ops() == 0 {
 				t.Fatal("empty scenario")
 			}
@@ -221,9 +281,16 @@ func TestScenarioExportParses(t *testing.T) {
 					i++
 				}
 			}
-			header := fmt.Sprintf("# clue scenario: name=%s seed=%d ", name, scenarioTestConfig().Seed)
+			header := fmt.Sprintf("# clue scenario: name=%s seed=%d ", name, scenarioTestConfig(name).Seed)
 			if !strings.HasPrefix(string(raw), header) {
 				t.Fatalf("missing scenario header, got %.80s", raw)
+			}
+			faults := 0
+			for _, ph := range sc.Phases {
+				faults += len(ph.Faults)
+			}
+			if got := strings.Count(string(raw), "\n# fault: at="); got != faults {
+				t.Fatalf("export has %d fault lines, program has %d faults", got, faults)
 			}
 		})
 	}
