@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer, ready func(net
 		return err
 	}
 	fmt.Fprintf(out, "clue-collector: %s, %s — %d batches of <= %d, window %d, listening on %s\n",
-		origin, traceOrigin, (len(recs)+*batch-1)/ *batch, *batch, *window, bound)
+		origin, traceOrigin, (len(recs)+*batch-1) / *batch, *batch, *window, bound)
 	if ready != nil {
 		ready(bound)
 	}

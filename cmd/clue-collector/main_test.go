@@ -34,24 +34,29 @@ func (a *mirrorApplier) Reset(routes []ip.Route) error {
 	return nil
 }
 
-func (a *mirrorApplier) Announce(p ip.Prefix, hop ip.NextHop) error {
+func (a *mirrorApplier) Apply(recs []ribio.UpdateRecord) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.fib.Insert(p, hop, nil)
+	for _, u := range recs {
+		if u.Withdraw {
+			a.fib.Delete(u.Prefix, nil)
+		} else {
+			a.fib.Insert(u.Prefix, u.NextHop, nil)
+		}
+	}
 	return nil
 }
 
-func (a *mirrorApplier) Withdraw(p ip.Prefix) error {
+func (a *mirrorApplier) CanonicalHash() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.fib.Delete(p, nil)
-	return nil
+	return onrtc.Compress(a.fib).Digest()
 }
 
-func (a *mirrorApplier) CanonicalRoutes() []ip.Route {
+func (a *mirrorApplier) routes() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return onrtc.Compress(a.fib).Routes()
+	return a.fib.Len()
 }
 
 // startRun launches run() against an ephemeral port and returns the
@@ -112,7 +117,7 @@ func TestRunStreamsGeneratedTrace(t *testing.T) {
 	if st.HashChecks == 0 {
 		t.Fatal("no hash frames verified")
 	}
-	if len(app.CanonicalRoutes()) == 0 {
+	if app.routes() == 0 {
 		t.Fatal("follower table empty after stream")
 	}
 	if !strings.Contains(out.String(), "streamed 20 batches") {
@@ -175,7 +180,7 @@ func TestRunLingerStopsOnCancel(t *testing.T) {
 	if err := fl.WaitSeq(2, 10*time.Second); err != nil {
 		t.Fatalf("late follower never caught up: %v", err)
 	}
-	if len(app.CanonicalRoutes()) == 0 {
+	if app.routes() == 0 {
 		t.Fatal("late follower table empty")
 	}
 	cancel()

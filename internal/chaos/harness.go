@@ -12,6 +12,7 @@ import (
 	"clue/internal/feed"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
+	"clue/internal/ribio"
 	"clue/internal/serve"
 	"clue/internal/tracegen"
 	"clue/internal/ttf"
@@ -81,14 +82,9 @@ func (g *gatedApplier) Reset(routes []ip.Route) error {
 	return g.Applier.Reset(routes)
 }
 
-func (g *gatedApplier) Announce(p ip.Prefix, hop ip.NextHop) error {
+func (g *gatedApplier) Apply(recs []ribio.UpdateRecord) error {
 	g.wait()
-	return g.Applier.Announce(p, hop)
-}
-
-func (g *gatedApplier) Withdraw(p ip.Prefix) error {
-	g.wait()
-	return g.Applier.Withdraw(p)
+	return g.Applier.Apply(recs)
 }
 
 // boot builds the program's topology over its base FIB and starts the

@@ -10,8 +10,8 @@ func TestCacheResetDropsEntriesKeepsStats(t *testing.T) {
 	c.Insert(rt("10.0.0.0/8", 1))
 	c.Insert(rt("192.168.0.0/16", 2))
 	c.Insert(rt("172.16.0.0/12", 3))
-	c.Lookup(addr("10.1.2.3"))  // hit
-	c.Lookup(addr("11.0.0.1"))  // miss
+	c.Lookup(addr("10.1.2.3")) // hit
+	c.Lookup(addr("11.0.0.1")) // miss
 	before := c.Stats()
 	if before.Inserts != 3 || before.Lookups != 2 || before.Hits != 1 {
 		t.Fatalf("pre-reset stats: %+v", before)

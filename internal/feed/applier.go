@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"clue/internal/ip"
+	"clue/internal/ribio"
 	"clue/internal/serve"
 	"clue/internal/trie"
 )
@@ -38,9 +39,10 @@ func (a *RuntimeApplier) Runtime() *serve.Runtime {
 }
 
 // Reset brings the runtime to exactly routes. The first call builds
-// the runtime; later calls diff against the current mirror and feed
-// the difference through Announce/Withdraw, which block until the
-// containing snapshots are published.
+// the runtime; later calls diff against the current mirror — withdraw
+// what vanished, announce what changed — and send the whole
+// reconciliation as one ApplyBatch, which blocks until the one snapshot
+// holding it is published.
 func (a *RuntimeApplier) Reset(routes []ip.Route) error {
 	if len(routes) == 0 {
 		return errors.New("feed: empty snapshot (runtime needs at least one route)")
@@ -58,63 +60,56 @@ func (a *RuntimeApplier) Reset(routes []ip.Route) error {
 		return nil
 	}
 	want := trie.FromRoutes(routes)
+	var recs []ribio.UpdateRecord
 	for _, r := range a.mirror.Routes() {
 		if want.Get(r.Prefix, nil) == ip.NoRoute {
-			if _, err := rt.Withdraw(r.Prefix); err != nil {
-				return fmt.Errorf("feed: reconcile withdraw %v: %w", r.Prefix, err)
-			}
+			recs = append(recs, ribio.UpdateRecord{Withdraw: true, Prefix: r.Prefix})
 		}
 	}
 	for _, r := range routes {
 		if a.mirror.Get(r.Prefix, nil) != r.NextHop {
-			if _, err := rt.Announce(r.Prefix, r.NextHop); err != nil {
-				return fmt.Errorf("feed: reconcile announce %v: %w", r.Prefix, err)
-			}
+			recs = append(recs, ribio.UpdateRecord{Prefix: r.Prefix, NextHop: r.NextHop})
+		}
+	}
+	if len(recs) > 0 {
+		if _, err := rt.ApplyBatch(recs); err != nil {
+			return fmt.Errorf("feed: reconcile %d changed routes: %w", len(recs), err)
 		}
 	}
 	a.mirror = want
 	return nil
 }
 
-// Announce applies one announced route; it blocks until the snapshot
-// containing it is published.
-func (a *RuntimeApplier) Announce(p ip.Prefix, hop ip.NextHop) error {
+// Apply applies one update frame's records as one runtime batch; it
+// blocks until the snapshot containing all of them is published.
+func (a *RuntimeApplier) Apply(recs []ribio.UpdateRecord) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	rt := a.rt.Load()
 	if rt == nil {
-		return errors.New("feed: announce before bootstrap snapshot")
+		return errors.New("feed: update batch before bootstrap snapshot")
 	}
-	if _, err := rt.Announce(p, hop); err != nil {
+	if _, err := rt.ApplyBatch(recs); err != nil {
 		return err
 	}
-	a.mirror.Insert(p, hop, nil)
+	for _, u := range recs {
+		if u.Withdraw {
+			a.mirror.Delete(u.Prefix, nil)
+		} else {
+			a.mirror.Insert(u.Prefix, u.NextHop, nil)
+		}
+	}
 	return nil
 }
 
-// Withdraw applies one withdrawal with the same publication guarantee.
-func (a *RuntimeApplier) Withdraw(p ip.Prefix) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// CanonicalHash returns the published snapshot's canonical digest in
+// O(1), without escaping its arena (0 before bootstrap).
+func (a *RuntimeApplier) CanonicalHash() uint64 {
 	rt := a.rt.Load()
 	if rt == nil {
-		return errors.New("feed: withdraw before bootstrap snapshot")
+		return 0
 	}
-	if _, err := rt.Withdraw(p); err != nil {
-		return err
-	}
-	a.mirror.Delete(p, nil)
-	return nil
-}
-
-// CanonicalRoutes returns the published snapshot's canonical
-// compressed table (nil before bootstrap).
-func (a *RuntimeApplier) CanonicalRoutes() []ip.Route {
-	rt := a.rt.Load()
-	if rt == nil {
-		return nil
-	}
-	return rt.Snapshot().Routes()
+	return rt.TableHash()
 }
 
 // Close shuts the runtime down, if one was built.

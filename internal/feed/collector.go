@@ -78,15 +78,17 @@ type logEntry struct {
 type Collector struct {
 	cfg CollectorConfig
 
-	mu       sync.Mutex
-	cond     *sync.Cond // broadcast: head advanced, conn set changed, closed
-	mirror   *trie.Trie
-	head     uint64
-	logStart uint64 // seq of oldest retained entry; head+1 when log empty
-	log      []logEntry
+	mu   sync.Mutex
+	cond *sync.Cond // broadcast: head advanced, conn set changed, closed
+	// mirror is the authoritative FIB and its canonical compression, kept
+	// in lockstep so the hash frames read an O(1) digest.
+	mirror    *onrtc.Updater
+	head      uint64
+	logStart  uint64 // seq of oldest retained entry; head+1 when log empty
+	log       []logEntry
 	sinceHash int
-	conns    map[*collConn]struct{}
-	closed   bool
+	conns     map[*collConn]struct{}
+	closed    bool
 
 	batches   uint64
 	records   uint64
@@ -109,7 +111,7 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 	cfg = cfg.withDefaults()
 	c := &Collector{
 		cfg:      cfg,
-		mirror:   trie.FromRoutes(cfg.BaseRoutes),
+		mirror:   onrtc.BuildUpdater(trie.FromRoutes(cfg.BaseRoutes)),
 		head:     cfg.StartSeq,
 		logStart: cfg.StartSeq + 1,
 		conns:    make(map[*collConn]struct{}),
@@ -121,14 +123,18 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 // Apply validates and applies one batch of updates to the mirror,
 // appends it to the replay log and wakes the per-follower senders. It
 // returns the batch's sequence number. Empty batches are rejected —
-// they would advance sequence numbers without observable effect.
+// they would advance sequence numbers without observable effect — and
+// so is any batch holding a record the followers' decoder would refuse
+// (the same ribio.UpdateRecord.Validate check), before the mirror is
+// touched: a logged batch no follower can decode would wedge every
+// follower on it until the window trimmed it.
 func (c *Collector) Apply(recs []ribio.UpdateRecord) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, errors.New("feed: empty batch")
 	}
 	for i, u := range recs {
-		if !u.Withdraw && u.NextHop == 0 {
-			return 0, fmt.Errorf("feed: batch record %d announces %v with no next hop", i, u.Prefix)
+		if err := u.Validate(); err != nil {
+			return 0, fmt.Errorf("feed: batch record %d: %w", i, err)
 		}
 	}
 	c.mu.Lock()
@@ -138,9 +144,9 @@ func (c *Collector) Apply(recs []ribio.UpdateRecord) (uint64, error) {
 	}
 	for _, u := range recs {
 		if u.Withdraw {
-			c.mirror.Delete(u.Prefix, nil)
+			c.mirror.Withdraw(u.Prefix)
 		} else {
-			c.mirror.Insert(u.Prefix, u.NextHop, nil)
+			c.mirror.Announce(u.Prefix, u.NextHop)
 		}
 	}
 	c.head++
@@ -162,11 +168,12 @@ func (c *Collector) Apply(recs []ribio.UpdateRecord) (uint64, error) {
 	return c.head, nil
 }
 
-// canonicalHashLocked digests the canonical compressed form of the
-// mirror — the same table every converged follower's snapshot holds.
+// canonicalHashLocked reads the digest of the mirror's canonical
+// compression — the same table every converged follower's snapshot
+// holds — in O(1).
 func (c *Collector) canonicalHashLocked() HashInfo {
-	routes := onrtc.Compress(c.mirror).Routes()
-	return HashInfo{Routes: uint32(len(routes)), Hash: CanonicalHash(routes)}
+	t := c.mirror.Table()
+	return HashInfo{Routes: uint32(t.Len()), Hash: t.Digest()}
 }
 
 // Head returns the sequence number of the last applied batch.
@@ -181,7 +188,7 @@ func (c *Collector) Head() uint64 {
 func (c *Collector) Routes() []ip.Route {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.mirror.Routes()
+	return c.mirror.FIB().Routes()
 }
 
 // Stats returns a snapshot of collector progress.
@@ -191,7 +198,7 @@ func (c *Collector) Stats() CollectorStats {
 	return CollectorStats{
 		Head:      c.head,
 		LogStart:  c.logStart,
-		Routes:    c.mirror.Len(),
+		Routes:    c.mirror.FIB().Len(),
 		Followers: len(c.conns),
 		Batches:   c.batches,
 		Records:   c.records,
@@ -437,7 +444,7 @@ func (c *Collector) sendLoop(cc *collConn, hasState bool, lastApplied uint64) {
 // returns the next batch seq owed after it.
 func (c *Collector) sendSnapshot(cc *collConn) (next uint64, ok bool) {
 	c.mu.Lock()
-	routes := c.mirror.Routes()
+	routes := c.mirror.FIB().Routes()
 	seq := c.head
 	h := c.canonicalHashLocked()
 	c.snapshots++

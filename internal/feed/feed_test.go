@@ -35,21 +35,24 @@ func (m *memApplier) Reset(routes []ip.Route) error {
 	return nil
 }
 
-func (m *memApplier) Announce(p ip.Prefix, hop ip.NextHop) error {
+func (m *memApplier) Apply(recs []ribio.UpdateRecord) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.mirror.Insert(p, hop, nil)
+	for _, u := range recs {
+		if u.Withdraw {
+			m.mirror.Delete(u.Prefix, nil)
+		} else {
+			m.mirror.Insert(u.Prefix, u.NextHop, nil)
+		}
+	}
 	return nil
 }
 
-func (m *memApplier) Withdraw(p ip.Prefix) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mirror.Delete(p, nil)
-	return nil
+func (m *memApplier) CanonicalHash() uint64 {
+	return onrtc.Digest(m.canonicalRoutes())
 }
 
-func (m *memApplier) CanonicalRoutes() []ip.Route {
+func (m *memApplier) canonicalRoutes() []ip.Route {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return onrtc.Compress(m.mirror).Routes()
@@ -115,12 +118,23 @@ func startFollower(t *testing.T, cfg FollowerConfig) *Follower {
 	return f
 }
 
-// expectConverged asserts the applier's canonical table is
-// byte-identical to the collector mirror's canonical compression.
-func expectConverged(t *testing.T, c *Collector, a Applier, who string) {
+// canonicalRoutes is an applier's canonical compressed table, read the
+// way each implementation holds it.
+func canonicalRoutes(t *testing.T, a Applier) []ip.Route {
 	t.Helper()
-	want := onrtc.Compress(trie.FromRoutes(c.Routes())).Routes()
-	got := a.CanonicalRoutes()
+	switch a := a.(type) {
+	case *memApplier:
+		return a.canonicalRoutes()
+	case *RuntimeApplier:
+		return a.Runtime().Snapshot().Routes()
+	}
+	t.Fatalf("no canonical table for %T", a)
+	return nil
+}
+
+// expectRoutes asserts got is route-for-route the table want.
+func expectRoutes(t *testing.T, who string, got, want []ip.Route) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d canonical routes, want %d", who, len(got), len(want))
 	}
@@ -129,8 +143,17 @@ func expectConverged(t *testing.T, c *Collector, a Applier, who string) {
 			t.Fatalf("%s: canonical route %d = %v, want %v", who, i, got[i], want[i])
 		}
 	}
-	if CanonicalHash(got) != CanonicalHash(want) {
-		t.Fatalf("%s: hash disagrees on equal tables", who)
+}
+
+// expectConverged asserts the applier's canonical table is
+// byte-identical to the collector mirror's canonical compression, and
+// that its O(1) digest is that table's recomputed one.
+func expectConverged(t *testing.T, c *Collector, a Applier, who string) {
+	t.Helper()
+	want := onrtc.Compress(trie.FromRoutes(c.Routes())).Routes()
+	expectRoutes(t, who, canonicalRoutes(t, a), want)
+	if got := a.CanonicalHash(); got != CanonicalHash(want) {
+		t.Fatalf("%s: digest %016x, its table recomputes to %016x", who, got, CanonicalHash(want))
 	}
 }
 
@@ -201,15 +224,7 @@ func TestTwoFollowersConvergeIdentically(t *testing.T) {
 	}
 	expectConverged(t, c, a1, "follower 1")
 	expectConverged(t, c, a2, "follower 2")
-	r1, r2 := a1.CanonicalRoutes(), a2.CanonicalRoutes()
-	if len(r1) != len(r2) {
-		t.Fatalf("followers disagree on table size: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("followers diverge at canonical route %d: %v vs %v", i, r1[i], r2[i])
-		}
-	}
+	expectRoutes(t, "follower 2 against follower 1", a2.canonicalRoutes(), a1.canonicalRoutes())
 }
 
 func TestResumeAfterBriefDisconnect(t *testing.T) {
@@ -437,6 +452,45 @@ func TestRuntimeApplierFollower(t *testing.T) {
 	}
 }
 
+// TestRuntimeApplierOnePublicationPerFrame pins the replicated write
+// path's cost by count: a frame of records is one writer batch (one
+// publication) on the replica, not one per record.
+func TestRuntimeApplierOnePublicationPerFrame(t *testing.T) {
+	const frames, perFrame = 12, 8
+	base, recs := testTrace(t, 10, 400, frames*perFrame)
+	c := startCollector(t, CollectorConfig{BaseRoutes: base, HashEvery: 4})
+	app := NewRuntimeApplier(serve.Config{Workers: 2})
+	defer app.Close()
+	f := startFollower(t, FollowerConfig{Dial: dialTo(c), Applier: app, Logf: t.Logf})
+	for deadline := time.Now().Add(5 * time.Second); app.Runtime() == nil || f.Stats().State != "streaming"; {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never bootstrapped")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	rt := app.Runtime()
+	before := rt.Stats()
+	var last uint64
+	for _, b := range batches(recs, perFrame) {
+		seq, err := c.Apply(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = seq
+	}
+	if err := f.WaitSeq(last, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	after := rt.Stats()
+	if got := after.Batches - before.Batches; got != frames {
+		t.Fatalf("%d frames of %d records took %d writer batches, want one per frame", frames, perFrame, got)
+	}
+	if got := after.BatchOps - before.BatchOps; got != frames*perFrame {
+		t.Fatalf("writer batches carried %d records, want %d", got, frames*perFrame)
+	}
+	expectConverged(t, c, app, "runtime follower")
+}
+
 func TestRuntimeApplierReconcile(t *testing.T) {
 	fib, err := fibgen.Generate(fibgen.Config{Seed: 8, Routes: 300})
 	if err != nil {
@@ -455,18 +509,28 @@ func TestRuntimeApplierReconcile(t *testing.T) {
 	next[0].NextHop++
 	next[3].NextHop += 2
 	next = append(next, ip.Route{Prefix: ip.MustParsePrefix("198.51.100.0/24"), NextHop: 42})
+	// The whole reconciliation (5 withdraws, 3 announces) is one writer
+	// batch, not one per changed route.
+	before := app.Runtime().Stats().Batches
 	if err := app.Reset(next); err != nil {
 		t.Fatal(err)
 	}
-	want := onrtc.Compress(trie.FromRoutes(next)).Routes()
-	got := app.CanonicalRoutes()
-	if len(got) != len(want) {
-		t.Fatalf("%d canonical routes after reconcile, want %d", len(got), len(want))
+	if got := app.Runtime().Stats().Batches - before; got != 1 {
+		t.Fatalf("reconciling 8 changed routes took %d writer batches, want 1", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("canonical route %d = %v, want %v", i, got[i], want[i])
-		}
+	want := onrtc.Compress(trie.FromRoutes(next)).Routes()
+	expectRoutes(t, "reconciled runtime", app.Runtime().Snapshot().Routes(), want)
+	if got := app.CanonicalHash(); got != onrtc.Digest(want) {
+		t.Fatalf("reconciled digest %016x, want %016x", got, onrtc.Digest(want))
+	}
+	// Resetting to the table it already holds changes nothing and
+	// publishes nothing.
+	before = app.Runtime().Stats().Batches
+	if err := app.Reset(next); err != nil {
+		t.Fatal(err)
+	}
+	if got := app.Runtime().Stats().Batches - before; got != 0 {
+		t.Fatalf("no-op reset took %d writer batches, want 0", got)
 	}
 }
 
@@ -486,7 +550,7 @@ func TestRuntimeApplierTinySnapshot(t *testing.T) {
 	if err := app.Reset(base); err != nil {
 		t.Fatalf("Reset from a 5-route snapshot: %v", err)
 	}
-	if err := app.Announce(ip.MustParsePrefix("203.0.113.0/24"), 6); err != nil {
+	if err := app.Apply([]ribio.UpdateRecord{{Prefix: ip.MustParsePrefix("203.0.113.0/24"), NextHop: 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if hop, _, ok := app.Runtime().Lookup(ip.MustParseAddr("203.0.113.9")); !ok || hop != 6 {
@@ -497,20 +561,56 @@ func TestRuntimeApplierTinySnapshot(t *testing.T) {
 	}
 }
 
+// TestCollectorApplyRejects: Apply refuses every record the followers'
+// decoder would refuse, before touching the mirror — a /33 used to panic
+// inside Apply, and a host-bit or withdraw-with-hop record used to enter
+// the replay log and wedge every follower on it — so the stream stays
+// live for the next good batch.
 func TestCollectorApplyRejects(t *testing.T) {
-	c, err := NewCollector(CollectorConfig{BaseRoutes: []ip.Route{{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1}}})
-	if err != nil {
-		t.Fatal(err)
+	c := startCollector(t, CollectorConfig{BaseRoutes: []ip.Route{{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1}}})
+	app := newMemApplier()
+	f := startFollower(t, FollowerConfig{Dial: dialTo(c), Applier: app, Logf: t.Logf})
+	for deadline := time.Now().Add(5 * time.Second); f.Stats().State != "streaming"; {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never bootstrapped")
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
-	defer c.Close()
 	if _, err := c.Apply(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := c.Apply([]ribio.UpdateRecord{{Prefix: ip.MustParsePrefix("10.0.0.0/8")}}); err == nil {
-		t.Fatal("zero-hop announce accepted")
+	good := ribio.UpdateRecord{Prefix: ip.MustParsePrefix("192.0.2.0/24"), NextHop: 4}
+	for _, tc := range []struct {
+		name string
+		bad  ribio.UpdateRecord
+	}{
+		{"zero-hop announce", ribio.UpdateRecord{Prefix: ip.MustParsePrefix("10.0.0.0/8")}},
+		{"length 33", ribio.UpdateRecord{Prefix: ip.Prefix{Bits: ip.MustParseAddr("10.0.0.0"), Len: 33}, NextHop: 2}},
+		{"host bits", ribio.UpdateRecord{Prefix: ip.Prefix{Bits: ip.MustParseAddr("10.0.0.1"), Len: 8}, NextHop: 2}},
+		{"withdraw with hop", ribio.UpdateRecord{Withdraw: true, Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 2}},
+	} {
+		// The bad record rides behind a good one: nothing of the batch
+		// may apply.
+		if _, err := c.Apply([]ribio.UpdateRecord{good, tc.bad}); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+		if head := c.Head(); head != 0 {
+			t.Fatalf("%s: rejected batch advanced head to %d", tc.name, head)
+		}
+		if n := c.Stats().Routes; n != 1 {
+			t.Fatalf("%s: rejected batch changed the mirror to %d routes", tc.name, n)
+		}
 	}
-	if head := c.Head(); head != 0 {
-		t.Fatalf("rejected batches advanced head to %d", head)
+	seq, err := c.Apply([]ribio.UpdateRecord{good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WaitSeq(seq, 5*time.Second); err != nil {
+		t.Fatalf("follower did not apply the good batch after the rejects: %v", err)
+	}
+	expectConverged(t, c, app, "follower")
+	if s := f.Stats(); s.Reconnects != 0 || s.SnapshotLoads != 1 || s.Batches != 1 {
+		t.Fatalf("follower should stream the good batch on its first session: %+v", s)
 	}
 }
 

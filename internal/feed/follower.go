@@ -8,17 +8,18 @@ import (
 	"time"
 
 	"clue/internal/ip"
+	"clue/internal/ribio"
 )
 
 // Applier is the state machine a follower drives: a full reset on
-// snapshot, one call per record inside a batch, and the canonical
-// compressed table for hash verification. RuntimeApplier adapts the
-// serve runtime; tests use lighter implementations.
+// snapshot, one Apply per update frame (its records in order), and the
+// canonical compressed table's digest (onrtc.Digest) for hash
+// verification. RuntimeApplier adapts the serve runtime; tests use
+// lighter implementations.
 type Applier interface {
 	Reset(routes []ip.Route) error
-	Announce(p ip.Prefix, hop ip.NextHop) error
-	Withdraw(p ip.Prefix) error
-	CanonicalRoutes() []ip.Route
+	Apply(recs []ribio.UpdateRecord) error
+	CanonicalHash() uint64
 }
 
 // FollowerConfig configures a Follower.
@@ -329,16 +330,9 @@ func (f *Follower) session(nc net.Conn) (progressed bool) {
 				f.mu.Unlock()
 				resumeCandidate = false
 			}
-			for _, u := range b.Records {
-				if u.Withdraw {
-					err = f.cfg.Applier.Withdraw(u.Prefix)
-				} else {
-					err = f.cfg.Applier.Announce(u.Prefix, u.NextHop)
-				}
-				if err != nil {
-					f.logf("feed: apply batch %d: %v", fr.Seq, err)
-					return progressed
-				}
+			if err := f.cfg.Applier.Apply(b.Records); err != nil {
+				f.logf("feed: apply batch %d: %v", fr.Seq, err)
+				return progressed
 			}
 			f.mu.Lock()
 			f.stats.LastApplied = fr.Seq
@@ -366,8 +360,7 @@ func (f *Follower) session(nc net.Conn) (progressed bool) {
 			if fr.Seq != applied {
 				continue // covers a state we skipped past; nothing to compare
 			}
-			routes := f.cfg.Applier.CanonicalRoutes()
-			got := CanonicalHash(routes)
+			got := f.cfg.Applier.CanonicalHash()
 			f.mu.Lock()
 			f.stats.HashChecks++
 			mismatch := got != h.Hash
@@ -377,8 +370,8 @@ func (f *Follower) session(nc net.Conn) (progressed bool) {
 			}
 			f.mu.Unlock()
 			if mismatch {
-				f.logf("feed: canonical hash mismatch at batch %d: have %016x over %d routes, want %016x over %d — resynchronising",
-					fr.Seq, got, len(routes), h.Hash, h.Routes)
+				f.logf("feed: canonical hash mismatch at batch %d: have %016x, want %016x over %d routes — resynchronising",
+					fr.Seq, got, h.Hash, h.Routes)
 				return progressed
 			}
 			if resumeCandidate {

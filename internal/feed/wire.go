@@ -24,11 +24,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"time"
 
 	"clue/internal/ip"
+	"clue/internal/onrtc"
 	"clue/internal/ribio"
 )
 
@@ -49,9 +49,10 @@ const (
 	// payload also carries the collector's current head so followers
 	// can report lag.
 	FrameUpdates byte = 0x03
-	// FrameHash carries the canonical-table hash at a batch boundary
-	// (collector → follower). Seq is the batch the hash covers; a
-	// follower that has applied Seq must match or resynchronise.
+	// FrameHash carries the canonical-table digest (onrtc.Digest) at a
+	// batch boundary (collector → follower). Seq is the batch the digest
+	// covers; a follower that has applied Seq must match or
+	// resynchronise.
 	FrameHash byte = 0x04
 	// FrameAck reports apply progress (follower → collector). Seq is
 	// the last batch the follower fully applied. No payload.
@@ -61,8 +62,10 @@ const (
 )
 
 // Version is the protocol version carried in the hello frame. There is
-// no negotiation: a mismatch is a hard error.
-const Version byte = 1
+// no negotiation: a mismatch is a hard error. Version 2 changed the
+// meaning, not the shape, of the hash payload: version 1 carried an
+// ordered FNV-1a hash, version 2 the order-independent onrtc.Digest.
+const Version byte = 2
 
 // helloMagic guards against pointing a follower at something that is
 // not a collector (or vice versa).
@@ -277,27 +280,17 @@ func decodeBatch(payload []byte) (Batch, error) {
 		}
 		u.At = time.Duration(at)
 		u.Prefix = ip.Prefix{Bits: ip.Addr(binary.BigEndian.Uint32(payload[off+9:])), Len: payload[off+13]}
-		if u.Prefix.Len > 32 {
-			return Batch{}, fmt.Errorf("feed: batch record %d has prefix length %d", i, u.Prefix.Len)
+		u.NextHop = ip.NextHop(binary.BigEndian.Uint32(payload[off+14:]))
+		if err := u.Validate(); err != nil {
+			return Batch{}, fmt.Errorf("feed: batch record %d: %w", i, err)
 		}
-		if u.Prefix.Bits&^u.Prefix.Mask() != 0 {
-			return Batch{}, fmt.Errorf("feed: batch record %d prefix %v has host bits set", i, u.Prefix)
-		}
-		hop := ip.NextHop(binary.BigEndian.Uint32(payload[off+14:]))
-		if u.Withdraw && hop != 0 {
-			return Batch{}, fmt.Errorf("feed: batch record %d is a withdraw with next hop %d", i, hop)
-		}
-		if !u.Withdraw && hop == 0 {
-			return Batch{}, fmt.Errorf("feed: batch record %d is an announce with no next hop", i)
-		}
-		u.NextHop = hop
 		off += recordSize
 	}
 	return b, nil
 }
 
 // HashInfo is the decoded hash payload: the canonical compressed table
-// hash after the batch in the frame's Seq, plus the route count so a
+// digest after the batch in the frame's Seq, plus the route count so a
 // mismatch report can say how far apart the tables are.
 type HashInfo struct {
 	Routes uint32
@@ -321,19 +314,9 @@ func decodeHash(payload []byte) (HashInfo, error) {
 	}, nil
 }
 
-// CanonicalHash digests a canonical compressed route table (FNV-1a 64
-// over bits, length, hop in table order). Two followers converged to
-// the same table — the guarantee the feed provides — hash identically;
-// the collector computes the same digest over its own mirror's
-// canonical compression.
-func CanonicalHash(routes []ip.Route) uint64 {
-	h := fnv.New64a()
-	var buf [routeSize]byte
-	for _, r := range routes {
-		binary.BigEndian.PutUint32(buf[:], uint32(r.Prefix.Bits))
-		buf[4] = r.Prefix.Len
-		binary.BigEndian.PutUint32(buf[5:], uint32(r.NextHop))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+// CanonicalHash digests a canonical compressed route table: exactly
+// onrtc.Digest, the order-independent sum the collector, every replica's
+// snapshot and the serve runtime keep incrementally. Two followers
+// converged to the same table — the guarantee the feed provides — hash
+// identically; this full recompute is the cross-check.
+func CanonicalHash(routes []ip.Route) uint64 { return onrtc.Digest(routes) }

@@ -121,6 +121,11 @@ func TestHelloDecode(t *testing.T) {
 	if _, err := decodeHello(encodeHello(Hello{Version: Version + 1})); err == nil {
 		t.Fatal("version mismatch accepted")
 	}
+	// Version 1 peers hash with the ordered FNV digest; comparing their
+	// hash frames against this one would flag every batch as diverged.
+	if _, err := decodeHello(encodeHello(Hello{Version: 1})); err == nil {
+		t.Fatal("version 1 hello accepted")
+	}
 	flag := encodeHello(Hello{Version: Version})
 	flag[len(flag)-1] = 2
 	if _, err := decodeHello(flag); err == nil {
@@ -183,6 +188,9 @@ func TestBatchDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestCanonicalHash: the digest is a function of the route set alone —
+// order-independent, so it can be kept incrementally — and still
+// separates tables that differ in a next hop or in membership.
 func TestCanonicalHash(t *testing.T) {
 	a := []ip.Route{
 		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
@@ -192,8 +200,8 @@ func TestCanonicalHash(t *testing.T) {
 		t.Fatal("hash not deterministic")
 	}
 	b := []ip.Route{a[1], a[0]}
-	if CanonicalHash(a) == CanonicalHash(b) {
-		t.Fatal("hash ignores order — canonical tables are ordered, the hash must be too")
+	if CanonicalHash(a) != CanonicalHash(b) {
+		t.Fatal("hash depends on order — the digest is a sum over the route set")
 	}
 	c := []ip.Route{a[0], {Prefix: a[1].Prefix, NextHop: 3}}
 	if CanonicalHash(a) == CanonicalHash(c) {
@@ -201,5 +209,20 @@ func TestCanonicalHash(t *testing.T) {
 	}
 	if CanonicalHash(nil) == CanonicalHash(a) {
 		t.Fatal("empty table collides with non-empty")
+	}
+	for _, d := range [][]ip.Route{
+		a[:1],
+		append(a[:2:2], ip.Route{Prefix: ip.MustParsePrefix("10.0.0.0/9"), NextHop: 1}),
+		{a[0], {Prefix: ip.MustParsePrefix("192.0.2.0/25"), NextHop: 2}},
+		{a[0], {Prefix: ip.MustParsePrefix("192.0.3.0/24"), NextHop: 2}},
+	} {
+		if CanonicalHash(d) == CanonicalHash(a) {
+			t.Fatalf("hash ignores membership: %v collides with %v", d, a)
+		}
+	}
+	// Swapping two routes' hops changes the set, so it changes the hash.
+	swapped := []ip.Route{{Prefix: a[0].Prefix, NextHop: 2}, {Prefix: a[1].Prefix, NextHop: 1}}
+	if CanonicalHash(swapped) == CanonicalHash(a) {
+		t.Fatal("hash ignores which prefix carries which hop")
 	}
 }

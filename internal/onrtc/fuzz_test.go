@@ -10,10 +10,12 @@ import (
 // FuzzUpdaterMatchesRebuild drives the updater with a fuzz-chosen
 // operation sequence and re-checks the central invariant: the
 // incrementally maintained compressed table is byte-for-byte the one a
-// from-scratch compression would build.
+// from-scratch compression would build, and so is its O(1) digest.
 func FuzzUpdaterMatchesRebuild(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 8, 1, 2, 10, 0, 0, 0, 16, 2})
 	f.Add([]byte{0, 255, 255, 0, 0, 24, 3})
+	// Re-announce 10.0.0.0/8 with hop 2: an in-place modify.
+	f.Add([]byte{0, 10, 0, 0, 0, 8, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fib := trie.New()
 		fib.Insert(ip.MustParsePrefix("10.0.0.0/8"), 1, nil)
@@ -32,7 +34,14 @@ func FuzzUpdaterMatchesRebuild(f *testing.F) {
 				u.Withdraw(p)
 			}
 		}
-		want := Compress(u.FIB()).Routes()
+		rebuilt := Compress(u.FIB())
+		if got, want := u.Table().Digest(), Digest(rebuilt.Routes()); got != want {
+			t.Fatalf("incremental digest %016x, rebuild's routes digest to %016x", got, want)
+		}
+		if got, want := rebuilt.Digest(), Digest(rebuilt.Routes()); got != want {
+			t.Fatalf("Compress seeded digest %016x, its routes digest to %016x", got, want)
+		}
+		want := rebuilt.Routes()
 		got := u.Table().Routes()
 		if len(got) != len(want) {
 			t.Fatalf("incremental table has %d routes, rebuild %d", len(got), len(want))

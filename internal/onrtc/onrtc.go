@@ -77,6 +77,9 @@ func (o Op) String() string { return fmt.Sprintf("%s %s", o.Kind, o.Route) }
 // lookup and is kept in sync with the FIB by Updater.
 type Table struct {
 	comp *trie.Trie
+	// sum is the table's Digest, kept in step by insert and remove — the
+	// only two mutators of comp.
+	sum uint64
 }
 
 // Compress builds the optimal non-overlapping table for the routes in fib.
@@ -86,15 +89,36 @@ func Compress(fib *trie.Trie) *Table {
 	region := compressRegion(fib, ip.Prefix{}, nil)
 	if region.uniform {
 		if region.hop != ip.NoRoute {
-			t.comp.Insert(ip.Prefix{}, region.hop, nil)
+			t.insert(ip.Prefix{}, region.hop)
 		}
 	} else {
 		for _, r := range region.routes {
-			t.comp.Insert(r.Prefix, r.NextHop, nil)
+			t.insert(r.Prefix, r.NextHop)
 		}
 	}
 	return t
 }
+
+// insert adds or rewrites one compressed route, moving the digest from
+// the route's previous hop (if any) to hop.
+func (t *Table) insert(p ip.Prefix, hop ip.NextHop) {
+	if prev := t.comp.Insert(p, hop, nil); prev != ip.NoRoute {
+		t.sum -= routeMix(p, prev)
+	}
+	t.sum += routeMix(p, hop)
+}
+
+// remove deletes one compressed route and its digest term; an absent
+// prefix changes nothing.
+func (t *Table) remove(p ip.Prefix) {
+	if prev := t.comp.Delete(p, nil); prev != ip.NoRoute {
+		t.sum -= routeMix(p, prev)
+	}
+}
+
+// Digest returns the table's canonical digest in O(1): the same value
+// Digest(t.Routes()) recomputes from scratch.
+func (t *Table) Digest() uint64 { return t.sum }
 
 // Len returns the number of prefixes in the compressed table.
 func (t *Table) Len() int { return t.comp.Len() }

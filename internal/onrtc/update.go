@@ -112,9 +112,9 @@ func (u *Updater) refresh(p ip.Prefix, node *trie.Node, inh ip.NextHop, d *Diff)
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case OpInsert, OpModify:
-			u.table.comp.Insert(op.Route.Prefix, op.Route.NextHop, nil)
+			u.table.insert(op.Route.Prefix, op.Route.NextHop)
 		case OpDelete:
-			u.table.comp.Delete(op.Route.Prefix, nil)
+			u.table.remove(op.Route.Prefix)
 		}
 	}
 }

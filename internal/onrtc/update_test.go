@@ -24,6 +24,9 @@ func assertTableMatchesRebuild(t *testing.T, u *Updater) {
 			t.Fatalf("route %d: incremental %v, rebuild %v", i, got[i], want[i])
 		}
 	}
+	if d, w := u.Table().Digest(), Digest(want); d != w {
+		t.Fatalf("incremental digest %016x, rebuild's routes digest to %016x", d, w)
+	}
 }
 
 func TestAnnounceFreshPrefix(t *testing.T) {

@@ -44,12 +44,12 @@ const (
 
 // kindNames maps command kinds to their script keywords.
 var kindNames = map[Kind]string{
-	CmdAnnounce: "announce",
-	CmdWithdraw: "withdraw",
-	CmdLookup:   "lookup",
-	CmdBatch:    "batch",
-	CmdFail:     "fail",
-	CmdRecover:  "recover",
+	CmdAnnounce:  "announce",
+	CmdWithdraw:  "withdraw",
+	CmdLookup:    "lookup",
+	CmdBatch:     "batch",
+	CmdFail:      "fail",
+	CmdRecover:   "recover",
 	CmdFlush:     "flush",
 	CmdSwap:      "swap",
 	CmdQuiesce:   "quiesce",

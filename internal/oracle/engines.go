@@ -46,7 +46,9 @@ type Engine interface {
 // Optional capabilities: the driver feature-detects these instead of
 // forcing no-op methods onto every engine.
 type (
-	batchLooker   interface{ LookupBatch(addrs []ip.Addr) ([]Answer, error) }
+	batchLooker interface {
+		LookupBatch(addrs []ip.Addr) ([]Answer, error)
+	}
 	faultInjector interface {
 		FailWorker(id int) error
 		RecoverWorker(id int) error

@@ -23,14 +23,14 @@ func FuzzReadUpdates(f *testing.F) {
 		"2m3.000000001s announce 10.0.0.0/8 2\n",
 		"0s announce 10.0.0.0/8 1\n0s announce 10.0.0.0/8 2\n", // same offset twice
 		"",
-		"0s announce 10.0.0.0/8\n",       // missing hop
-		"0s withdraw 10.0.0.0/8 3\n",     // hop on withdraw
-		"0s announce 10.0.0.0/8 0\n",     // zero hop
-		"-1s announce 10.0.0.0/8 1\n",    // negative offset
+		"0s announce 10.0.0.0/8\n",    // missing hop
+		"0s withdraw 10.0.0.0/8 3\n",  // hop on withdraw
+		"0s announce 10.0.0.0/8 0\n",  // zero hop
+		"-1s announce 10.0.0.0/8 1\n", // negative offset
 		"2s announce 10.0.0.0/8 1\n1s withdraw 10.0.0.0/8\n", // backwards
-		"0s readvertise 10.0.0.0/8 1\n",  // unknown kind
-		"0s announce 10.0.0.1/8 1\n",     // host bits set
-		"soon announce 10.0.0.0/8 1\n",   // unparseable offset
+		"0s readvertise 10.0.0.0/8 1\n",                      // unknown kind
+		"0s announce 10.0.0.1/8 1\n",                         // host bits set
+		"soon announce 10.0.0.0/8 1\n",                       // unparseable offset
 		"\t 0s \tannounce 10.0.0.0/8 1\r\n",
 	} {
 		f.Add(seed)

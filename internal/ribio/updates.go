@@ -34,6 +34,24 @@ func (u UpdateRecord) String() string {
 	return fmt.Sprintf("%s announce %s %d", u.At, u.Prefix, u.NextHop)
 }
 
+// Validate checks the invariants every update input surface enforces
+// before a record may touch a table: a prefix length of at most 32 with
+// no host bits set, a non-zero next hop on an announce and none on a
+// withdraw.
+func (u UpdateRecord) Validate() error {
+	switch {
+	case u.Prefix.Len > ip.AddrBits:
+		return fmt.Errorf("prefix length %d exceeds %d", u.Prefix.Len, ip.AddrBits)
+	case u.Prefix.Bits&^u.Prefix.Mask() != 0:
+		return fmt.Errorf("prefix %v has host bits set", u.Prefix)
+	case u.Withdraw && u.NextHop != ip.NoRoute:
+		return fmt.Errorf("withdraw of %v carries next hop %d", u.Prefix, u.NextHop)
+	case !u.Withdraw && u.NextHop == ip.NoRoute:
+		return fmt.Errorf("announce of %v has no next hop", u.Prefix)
+	}
+	return nil
+}
+
 // ReadUpdates parses an update trace from r: one update per line,
 //
 //	<offset> announce <prefix> <next-hop>

@@ -94,3 +94,28 @@ func TestWriteUpdatesRejects(t *testing.T) {
 		t.Error("zero-hop announce accepted")
 	}
 }
+
+func TestUpdateRecordValidate(t *testing.T) {
+	p := ip.MustParsePrefix("10.1.0.0/16")
+	for _, u := range []UpdateRecord{
+		{Prefix: p, NextHop: 3},
+		{Withdraw: true, Prefix: p},
+		{Prefix: ip.Prefix{}, NextHop: 1},
+		{Prefix: ip.MustParsePrefix("10.1.2.3/32"), NextHop: 1},
+	} {
+		if err := u.Validate(); err != nil {
+			t.Errorf("%v rejected: %v", u, err)
+		}
+	}
+	for _, u := range []UpdateRecord{
+		{Prefix: p},
+		{Withdraw: true, Prefix: p, NextHop: 3},
+		{Prefix: ip.Prefix{Bits: p.Bits | 1, Len: 16}, NextHop: 3},
+		{Prefix: ip.Prefix{Bits: p.Bits, Len: 33}, NextHop: 3},
+		{Withdraw: true, Prefix: ip.Prefix{Bits: p.Bits, Len: 40}},
+	} {
+		if err := u.Validate(); err == nil {
+			t.Errorf("%v accepted", u)
+		}
+	}
+}

@@ -16,7 +16,10 @@ import (
 // The raw bytes decode to 6-byte (opcode, address, prefix-length)
 // records; Announce/Withdraw's completion guarantee (the snapshot
 // containing the op is published before the call returns) is what makes
-// the oracle comparison exact at every step.
+// the oracle comparison exact at every step. After every update and
+// every fail/recover rehome the published snapshot's O(1) digest must
+// equal the one its routes recompute to, whichever publication path —
+// structural, hop-only in place, rehome — produced it.
 func FuzzRuntimeUpdate(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	// announce, lookup, withdraw, lookup on one prefix.
@@ -81,6 +84,13 @@ func FuzzRuntimeUpdate(f *testing.F) {
 			}
 		}
 
+		checkDigest := func() {
+			t.Helper()
+			if stamped, want := publishedDigest(rt); stamped != want {
+				t.Fatalf("published digest %016x, its routes digest to %016x", stamped, want)
+			}
+		}
+
 		for i := 0; i+6 <= len(raw); i += 6 {
 			op := raw[i] % 8
 			a := ip.Addr(uint32(raw[i+1])<<24 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<8 | uint32(raw[i+4]))
@@ -94,12 +104,14 @@ func FuzzRuntimeUpdate(f *testing.F) {
 				if _, err := rt.Announce(p, hop); err == nil {
 					mirror.Insert(p, hop, nil)
 				}
+				checkDigest()
 				check(p.First())
 				check(p.Last())
 			case 3: // withdraw (absent prefixes are no-ops on both sides)
 				if _, err := rt.Withdraw(p); err == nil {
 					mirror.Delete(p, nil)
 				}
+				checkDigest()
 				check(p.First())
 				check(p.Last())
 			case 4: // point lookups
@@ -109,10 +121,12 @@ func FuzzRuntimeUpdate(f *testing.F) {
 				if err := rt.FailWorker(int(a) % workers); err != nil && !errors.Is(err, ErrWorkerState) {
 					t.Fatalf("FailWorker: %v", err)
 				}
+				checkDigest()
 			case 6: // recover a worker; refusing a healthy one is expected
 				if err := rt.RecoverWorker(int(a) % workers); err != nil && !errors.Is(err, ErrWorkerState) {
 					t.Fatalf("RecoverWorker: %v", err)
 				}
+				checkDigest()
 			case 7: // batch lookup across random probes
 				addrs := []ip.Addr{a, ip.Addr(rng.Uint32()), ip.Addr(rng.Uint32()), p.Last()}
 				out, err := rt.DispatchBatch(addrs, nil)

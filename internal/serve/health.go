@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"clue/internal/ttf"
 )
 
 // WorkerState is the health of one partition worker. The state machine
@@ -132,7 +134,7 @@ func (r *Runtime) submitCtl() error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	op := updateOp{ctl: true, done: make(chan opResult, 1)}
+	op := updateOp{ctl: true, done: make(chan ttf.TTF, 1)}
 	r.updates <- op
 	<-op.done
 	return nil
@@ -164,7 +166,7 @@ func (r *Runtime) failAfterPanic(w *worker) {
 		return
 	}
 	select {
-	case r.updates <- updateOp{ctl: true, done: make(chan opResult, 1)}:
+	case r.updates <- updateOp{ctl: true, done: make(chan ttf.TTF, 1)}:
 	default:
 	}
 }

@@ -206,12 +206,14 @@ type Stats struct {
 	// RebalanceStats).
 	Rebalance RebalanceStats `json:"rebalance"`
 
-	// Announces/Withdraws count applied update ops; UpdateErrors the ops
-	// that failed in the pipeline. Batches/BatchOps describe writer
-	// batching (BatchOps/Batches = mean batch size). NoopBatches counts
-	// batches that changed nothing (all-error ops, withdraw-of-absent)
-	// and therefore published no new snapshot. PendingUpdates is the
-	// update-queue backlog at export time.
+	// Announces/Withdraws count applied update records; UpdateErrors the
+	// ApplyBatch calls rejected by record validation (nothing of them is
+	// applied). Batches/BatchOps describe writer batching: BatchOps counts
+	// the records (plus control ops) each publication carried, so
+	// BatchOps/Batches is the mean batch size. NoopBatches counts batches
+	// that changed nothing (withdraw-of-absent, identical re-announce) and
+	// therefore published no new snapshot. PendingUpdates is the
+	// update-queue backlog (queued calls) at export time.
 	Announces      int64 `json:"announces"`
 	Withdraws      int64 `json:"withdraws"`
 	UpdateErrors   int64 `json:"update_errors"`
@@ -318,12 +320,12 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	emit("clue_serve_rebalance_sketch_samples_total", "counter", "Traffic-sketch samples drained by the rebalancer.", float64(s.Rebalance.SketchSamples))
 	emit("clue_serve_rebalance_imbalance_before", "gauge", "Traffic imbalance (max partition weight / mean) at the last rebalance pass, before the carve.", s.Rebalance.LastImbalanceBefore)
 	emit("clue_serve_rebalance_imbalance_after", "gauge", "Projected traffic imbalance after the last published recut.", s.Rebalance.LastImbalanceAfter)
-	emit("clue_serve_announces_total", "counter", "Announce ops applied.", float64(s.Announces))
-	emit("clue_serve_withdraws_total", "counter", "Withdraw ops applied.", float64(s.Withdraws))
-	emit("clue_serve_update_errors_total", "counter", "Update ops that failed in the pipeline.", float64(s.UpdateErrors))
+	emit("clue_serve_announces_total", "counter", "Announce records applied.", float64(s.Announces))
+	emit("clue_serve_withdraws_total", "counter", "Withdraw records applied.", float64(s.Withdraws))
+	emit("clue_serve_update_errors_total", "counter", "Update calls rejected by record validation.", float64(s.UpdateErrors))
 	emit("clue_serve_update_batches_total", "counter", "Writer batches applied.", float64(s.Batches))
 	emit("clue_serve_update_noop_batches_total", "counter", "Writer batches that changed nothing and published no snapshot.", float64(s.NoopBatches))
-	emit("clue_serve_update_batch_ops_total", "counter", "Update ops across all batches.", float64(s.BatchOps))
+	emit("clue_serve_update_batch_ops_total", "counter", "Update records and control ops across all batches.", float64(s.BatchOps))
 	emit("clue_serve_update_pending", "gauge", "Update ops queued and not yet applied.", float64(s.PendingUpdates))
 	emit("clue_serve_snapshot_routes_peak", "gauge", "Largest compressed table ever published (route-leak bloat high-water mark).", float64(s.PeakRoutes))
 	emit("clue_serve_update_pending_peak", "gauge", "Deepest update-queue backlog observed at submit time.", float64(s.PeakPendingUpdates))

@@ -7,6 +7,7 @@ import (
 
 	"clue/internal/ip"
 	"clue/internal/partition"
+	"clue/internal/ttf"
 )
 
 // Traffic-sketch geometry. Each worker counts sampled served addresses
@@ -361,7 +362,7 @@ func (r *Runtime) submitPlan(plan []ip.Addr) error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	op := updateOp{ctl: true, plan: plan, done: make(chan opResult, 1)}
+	op := updateOp{ctl: true, plan: plan, done: make(chan ttf.TTF, 1)}
 	r.updates <- op
 	<-op.done
 	return nil

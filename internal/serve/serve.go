@@ -11,12 +11,13 @@ import (
 
 	"clue/internal/ip"
 	"clue/internal/onrtc"
-	"clue/internal/tracegen"
+	"clue/internal/ribio"
 	"clue/internal/trie"
 	"clue/internal/ttf"
 )
 
-// ErrClosed is returned by Dispatch/Announce/Withdraw after Close.
+// ErrClosed is returned by Dispatch/ApplyBatch/Announce/Withdraw after
+// Close.
 // (Lookup keeps answering from the last published snapshot — RCU readers
 // are never cut off.)
 var ErrClosed = errors.New("serve: runtime closed")
@@ -130,30 +131,25 @@ const (
 	queueSampleMask    = 31
 )
 
-// updateOp is one queued announce/withdraw with its completion channel.
-// ctl ops carry no route change: they force the writer to publish a
-// re-homed snapshot from the current worker health states. A ctl op may
-// additionally carry a rebalancer cut plan, which the writer installs
-// as its persistent plan before publishing.
+// updateOp is one queued ApplyBatch call — validated records, applied in
+// order and published together — with its completion channel, which
+// receives the records' summed TTF. ctl ops carry no route change: they
+// force the writer to publish a re-homed snapshot from the current
+// worker health states. A ctl op may additionally carry a rebalancer cut
+// plan, which the writer installs as its persistent plan before
+// publishing.
 type updateOp struct {
-	kind tracegen.UpdateKind
-	pfx  ip.Prefix
-	hop  ip.NextHop
+	recs []ribio.UpdateRecord
 	ctl  bool
 	plan []ip.Addr
-	done chan opResult
-}
-
-type opResult struct {
-	ttf ttf.TTF
-	err error
+	done chan ttf.TTF
 }
 
 // writerScratch holds the writer goroutine's reusable per-batch buffers,
 // all owned exclusively by the writer.
 type writerScratch struct {
 	batch   []updateOp
-	results []opResult
+	results []ttf.TTF
 	// insLast/delLast collect the last addresses of routes the batch
 	// inserted into / deleted from the sorted mirror; sorted, they feed
 	// the stride-index patch on the next snapshot.
@@ -165,10 +161,22 @@ type writerScratch struct {
 	// where the writer patches hops into the live arena in place instead
 	// of copying the table.
 	hopPatches []hopPatch
+	// mergeOps and spare serve mergeDiffIntoTable: the diff sorted into
+	// table order, and the second mirror buffer the merge writes into
+	// (swapped with Runtime.table afterwards).
+	mergeOps []onrtc.Op
+	spare    []ip.Route
 	// down is the per-publication worker health mask (true = out of
 	// service), read fresh from the worker states for every snapshot.
 	down []bool
 }
+
+// mergeMinOps is the diff size from which the writer merges a diff into
+// its sorted mirror in one pass instead of op by op: each op costs a
+// memmove of up to the whole table, so a diff of K ops costs O(K·M) op
+// by op against O(M + K log K) merged, and the merge's fixed cost — one
+// copy of the table — is recovered within a handful of structural ops.
+const mergeMinOps = 16
 
 // hopPatch is one in-place next-hop change: table position -> new hop.
 type hopPatch struct {
@@ -197,9 +205,10 @@ const arenaPoolMax = 3
 // Snapshot behind an atomic pointer, so Lookup and the partition workers
 // never take a lock and never block updates. Writes are single-writer:
 // one goroutine owns the onrtc.Updater, drains the bounded update queue
-// in batches, applies each op's compressed-table diff to its sorted
+// in batches, applies each record's compressed-table diff to its sorted
 // mirror, prices it with the paper's TTF bound (ttf.CostModel.CLUEBound),
-// and publishes the next snapshot with one atomic store.
+// and publishes the next snapshot — stamped with the updater's table
+// digest — with one atomic store.
 type Runtime struct {
 	cfg Config
 	upd *onrtc.Updater // owned by the writer goroutine after New
@@ -273,7 +282,7 @@ func New(routes []ip.Route, cfg Config) (*Runtime, error) {
 		table: table,
 		ws: writerScratch{
 			batch:   make([]updateOp, 0, cfg.BatchMax),
-			results: make([]opResult, 0, cfg.BatchMax),
+			results: make([]ttf.TTF, 0, cfg.BatchMax),
 		},
 		updates:    make(chan updateOp, cfg.UpdateQueue),
 		writerDone: make(chan struct{}),
@@ -322,10 +331,10 @@ func (r *Runtime) Snapshot() *Snapshot {
 func (r *Runtime) Version() uint64 { return r.snap.Load().Version }
 
 // TableHash returns the published snapshot's canonical-table digest
-// (Snapshot.CanonicalHash) without escaping the snapshot's arena. With
-// no update in flight the value is exact, so polling it against an
+// (Snapshot.CanonicalHash, O(1)) without escaping the snapshot's arena.
+// The value is exact for the published table, so polling it against an
 // independently computed expectation is the scenario lab's
-// time-to-converge probe.
+// time-to-converge probe and a feed replica's hash check.
 func (r *Runtime) TableHash() uint64 {
 	slot := r.ep.enter(r.pinSeed.Add(1))
 	h := r.snap.Load().CanonicalHash()
@@ -659,20 +668,21 @@ func (r *Runtime) leastLoaded(home int) int {
 	return best
 }
 
-// Announce queues a route announcement and blocks until the writer has
-// applied it and published the snapshot that contains it: when Announce
-// returns, every subsequent Lookup/Dispatch sees the new route.
-func (r *Runtime) Announce(p ip.Prefix, hop ip.NextHop) (ttf.TTF, error) {
-	return r.submit(updateOp{kind: tracegen.Announce, pfx: p, hop: hop})
-}
-
-// Withdraw queues a route withdrawal with the same visibility guarantee
-// as Announce. Withdrawing an absent prefix is a no-op.
-func (r *Runtime) Withdraw(p ip.Prefix) (ttf.TTF, error) {
-	return r.submit(updateOp{kind: tracegen.Withdraw, pfx: p})
-}
-
-func (r *Runtime) submit(op updateOp) (ttf.TTF, error) {
+// ApplyBatch queues recs as one writer op and blocks until the writer
+// has applied every record, in order, and published the one snapshot
+// that contains them all: when ApplyBatch returns, every subsequent
+// Lookup/Dispatch sees the whole batch, and the batch cost one
+// publication however many records it carried. Every record is checked
+// first (ribio.UpdateRecord.Validate); one bad record — a zero-hop
+// announce, say — rejects the whole call and nothing is applied. The
+// returned TTF sums the records' costs.
+func (r *Runtime) ApplyBatch(recs []ribio.UpdateRecord) (ttf.TTF, error) {
+	for i, u := range recs {
+		if err := u.Validate(); err != nil {
+			r.m.updateErrors.Add(1)
+			return ttf.TTF{}, fmt.Errorf("serve: record %d: %w", i, err)
+		}
+	}
 	if r.closed.Load() {
 		return ttf.TTF{}, ErrClosed
 	}
@@ -681,11 +691,24 @@ func (r *Runtime) submit(op updateOp) (ttf.TTF, error) {
 	if r.closed.Load() {
 		return ttf.TTF{}, ErrClosed
 	}
-	op.done = make(chan opResult, 1)
+	if len(recs) == 0 {
+		return ttf.TTF{}, nil
+	}
+	op := updateOp{recs: recs, done: make(chan ttf.TTF, 1)}
 	r.updates <- op
 	maxInt64(&r.m.peakPending, int64(len(r.updates)))
-	res := <-op.done
-	return res.ttf, res.err
+	return <-op.done, nil
+}
+
+// Announce applies one route announcement: ApplyBatch of one record.
+func (r *Runtime) Announce(p ip.Prefix, hop ip.NextHop) (ttf.TTF, error) {
+	return r.ApplyBatch([]ribio.UpdateRecord{{Prefix: p, NextHop: hop}})
+}
+
+// Withdraw applies one route withdrawal: ApplyBatch of one record.
+// Withdrawing an absent prefix is a no-op.
+func (r *Runtime) Withdraw(p ip.Prefix) (ttf.TTF, error) {
+	return r.ApplyBatch([]ribio.UpdateRecord{{Withdraw: true, Prefix: p}})
 }
 
 // maxInt64 raises *a to v if v is larger (CAS loop: submitters race).
@@ -724,12 +747,12 @@ func (r *Runtime) writer() {
 	}
 }
 
-// applyBatch runs one batch through the updater and publishes the
-// resulting snapshot. Control (rehome) ops contribute no route change
-// but force a publication; every publication — ctl or not — recuts the
-// partition bounds from the live worker health states, so a batch racing
-// a failure re-homes on its own. A batch that changed nothing (and
-// carried no ctl op) publishes no snapshot at all.
+// applyBatch runs every record of one batch of ops through the updater
+// and publishes the resulting snapshot once. Control (rehome) ops
+// contribute no route change but force a publication; every publication
+// — ctl or not — recuts the partition bounds from the live worker health
+// states, so a batch racing a failure re-homes on its own. A batch that
+// changed nothing (and carried no ctl op) publishes no snapshot at all.
 func (r *Runtime) applyBatch(batch []updateOp) {
 	start := time.Now()
 	results := r.ws.results[:0]
@@ -738,60 +761,50 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 	r.ws.hopPatches = r.ws.hopPatches[:0]
 	rehome := false
 	changed := false
+	ops := 0 // records plus ctl ops
 	for _, op := range batch {
 		if op.ctl {
 			rehome = true
 			if op.plan != nil {
 				r.cutPlan = op.plan
 			}
-			results = append(results, opResult{})
+			results = append(results, ttf.TTF{})
+			ops++
 			continue
 		}
-		var (
-			diff onrtc.Diff
-			err  error
-		)
-		switch op.kind {
-		case tracegen.Announce:
-			if op.hop == ip.NoRoute {
-				err = fmt.Errorf("serve: announce %s: next hop must be non-zero", op.pfx)
+		var total ttf.TTF
+		for _, u := range op.recs {
+			var diff onrtc.Diff
+			if u.Withdraw {
+				diff = r.upd.Withdraw(u.Prefix)
+				r.m.withdraws.Add(1)
 			} else {
-				diff = r.upd.Announce(op.pfx, op.hop)
+				diff = r.upd.Announce(u.Prefix, u.NextHop)
+				r.m.announces.Add(1)
 			}
-			r.m.announces.Add(1)
-		case tracegen.Withdraw:
-			diff = r.upd.Withdraw(op.pfx)
-			r.m.withdraws.Add(1)
-		default:
-			err = fmt.Errorf("serve: unknown update kind %v", op.kind)
-		}
-		if err != nil {
-			r.m.updateErrors.Add(1)
-		}
-		// TTF is the paper's cost model over the diff, not a simulated
-		// chip's count (DESIGN.md, Known deviations).
-		cost := ttf.DefaultCosts().CLUEBound(diff)
-		results = append(results, opResult{ttf: cost, err: err})
-		r.m.ttfTrie.add(cost.Trie)
-		r.m.ttfTCAM.add(cost.TCAM)
-		r.m.ttfDRed.add(cost.DRed)
-		if err == nil {
-			// Per-op TTF distributions (successful ops only — an errored
-			// op's zero TTF would just pile mass into the low buckets).
+			// TTF is the paper's cost model over the diff, not a simulated
+			// chip's count (DESIGN.md, Known deviations).
+			cost := ttf.DefaultCosts().CLUEBound(diff)
+			total = total.Add(cost)
+			r.m.ttfTrie.add(cost.Trie)
+			r.m.ttfTCAM.add(cost.TCAM)
+			r.m.ttfDRed.add(cost.DRed)
 			r.m.ttf1Lat.record(0, int64(cost.Trie))
 			r.m.ttf2Lat.record(0, int64(cost.TCAM))
 			r.m.ttf3Lat.record(0, int64(cost.DRed))
+			if len(diff.Ops) > 0 {
+				changed = true
+			}
+			r.applyDiffToTable(diff.Ops)
 		}
-		if len(diff.Ops) > 0 {
-			changed = true
-		}
-		r.applyDiffToTable(diff.Ops)
+		results = append(results, total)
+		ops += len(op.recs)
 	}
 	r.ws.results = results
 	r.m.batches.Add(1)
-	r.m.batchOps.Add(int64(len(batch)))
+	r.m.batchOps.Add(int64(ops))
 	// Writer-owned peaks: plain store is fine, nobody else raises them.
-	if n := int64(len(batch)); n > r.m.peakBatchOps.Load() {
+	if n := int64(ops); n > r.m.peakBatchOps.Load() {
 		r.m.peakBatchOps.Store(n)
 	}
 	if n := int64(len(r.table)); n > r.m.peakRoutes.Load() {
@@ -799,8 +812,8 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 	}
 	if !changed && !rehome {
 		// The batch made no structural or hop change to the compressed
-		// table (all-error ops, withdraw-of-absent, re-announce of an
-		// identical route) and requested no recut: publishing would memcpy
+		// table (withdraw-of-absent, re-announce of an identical route)
+		// and requested no recut: publishing would memcpy
 		// the whole table and bump the version for a byte-identical
 		// snapshot. Complete the ops against the already-current snapshot
 		// instead.
@@ -873,6 +886,7 @@ func (r *Runtime) publish(prev *Snapshot) {
 			r.m.indexRebuilds.Add(1)
 		}
 	}
+	next.digest = r.upd.Table().Digest()
 	next.ar.refs++
 	r.snap.Store(next)
 	// Advance strictly after the store: a reader pinning the new epoch is
@@ -940,11 +954,18 @@ func (r *Runtime) reclaim() {
 // sorted mirror. The slice stays sorted in trie inorder (ip.Prefix
 // Compare order) throughout, so each op is one binary search plus one
 // memmove — O(log M + M) with a tiny constant, versus the O(M) trie walk
-// and node-chasing a full re-export would cost per batch. Structural
-// changes (real inserts and deletes) are recorded in the writer scratch
-// for the stride-index patch. The serve tests cross-check the mirror
-// against the updater's table after churn.
+// and node-chasing a full re-export would cost per batch. A diff of
+// mergeMinOps or more ops — a short prefix announced over a fragmented
+// region rewrites thousands of compressed routes at once — is merged in
+// one pass instead (mergeDiffIntoTable). Structural changes (real
+// inserts and deletes) are recorded in the writer scratch for the
+// stride-index patch. The serve tests cross-check the mirror against
+// the updater's table after churn.
 func (r *Runtime) applyDiffToTable(ops []onrtc.Op) {
+	if len(ops) >= mergeMinOps {
+		r.mergeDiffIntoTable(ops)
+		return
+	}
 	for _, op := range ops {
 		p := op.Route.Prefix
 		i := sort.Search(len(r.table), func(i int) bool {
@@ -972,6 +993,57 @@ func (r *Runtime) applyDiffToTable(ops []onrtc.Op) {
 			}
 		}
 	}
+}
+
+// mergeDiffIntoTable applies ops to the sorted mirror with the same
+// effect as applyDiffToTable's op-by-op loop, in one merge pass: the ops
+// are stably sorted into table order (ops on one prefix keep their
+// order) and the mirror is copied into the spare buffer with each op
+// applied at its position, then the buffers swap. Hop patches record
+// final positions, which is what the in-place publish needs when the
+// diff turns out to be hop-only.
+func (r *Runtime) mergeDiffIntoTable(ops []onrtc.Op) {
+	sorted := append(r.ws.mergeOps[:0], ops...)
+	slices.SortStableFunc(sorted, func(a, b onrtc.Op) int { return a.Route.Prefix.Compare(b.Route.Prefix) })
+	r.ws.mergeOps = sorted
+	t := r.table
+	out := r.ws.spare[:0]
+	if cap(out) < len(t)+len(ops) {
+		out = make([]ip.Route, 0, cap(t)+len(ops))
+	}
+	i := 0
+	for _, op := range sorted {
+		p := op.Route.Prefix
+		j := i + sort.Search(len(t)-i, func(k int) bool { return t[i+k].Prefix.Compare(p) >= 0 })
+		out = append(out, t[i:j]...)
+		i = j
+		if i < len(t) && t[i].Prefix == p {
+			out = append(out, t[i])
+			i++
+		}
+		// The route at p, if any, is now out's last element — from the
+		// table or from an earlier op of this diff on the same prefix.
+		last := len(out) - 1
+		present := last >= 0 && out[last].Prefix == p
+		switch op.Kind {
+		case onrtc.OpInsert, onrtc.OpModify:
+			if present {
+				out[last].NextHop = op.Route.NextHop
+				r.ws.hopPatches = append(r.ws.hopPatches, hopPatch{pos: int32(last), hop: uint32(op.Route.NextHop)})
+			} else {
+				out = append(out, op.Route)
+				r.ws.insLast = append(r.ws.insLast, p.Last())
+			}
+		case onrtc.OpDelete:
+			if present {
+				out = out[:last]
+				r.ws.delLast = append(r.ws.delLast, p.Last())
+			}
+		}
+	}
+	out = append(out, t[i:]...)
+	r.ws.spare = t[:0]
+	r.table = out
 }
 
 // downMask snapshots the worker health states into the writer's scratch

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"clue/internal/ip"
+	"clue/internal/onrtc"
+	"clue/internal/ribio"
 	"clue/internal/tracegen"
 	"clue/internal/trie"
 )
@@ -119,6 +121,181 @@ func TestAnnounceRejectsZeroHop(t *testing.T) {
 	}
 	if st := rt.Stats(); st.UpdateErrors != 1 {
 		t.Fatalf("update errors = %d, want 1", st.UpdateErrors)
+	}
+}
+
+// publishedDigest returns the current snapshot's stamped digest and the
+// digest its routes recompute to, read under an epoch pin instead of
+// through Snapshot() so the arena stays eligible for in-place patches.
+func publishedDigest(rt *Runtime) (stamped, recomputed uint64) {
+	slot := rt.ep.enter(rt.pinSeed.Add(1))
+	defer slot.exit()
+	s := rt.snap.Load()
+	return s.CanonicalHash(), onrtc.Digest(s.Routes())
+}
+
+// TestApplyBatch: a batch is validated whole before anything applies,
+// publishes once, and every shape of publication — structural, hop-only
+// in place, rehome — carries the exact digest of its table.
+func TestApplyBatch(t *testing.T) {
+	fib, routes := testRoutes(t, 1000, 27)
+	rt, err := New(routes, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	fresh := ip.MustParsePrefix("203.0.113.0/24")
+	if fib.Get(fresh, nil) != ip.NoRoute {
+		t.Fatalf("%v already in the FIB", fresh)
+	}
+	expectExact := func(what string) {
+		t.Helper()
+		if stamped, want := publishedDigest(rt); stamped != want || rt.TableHash() != want {
+			t.Fatalf("%s: stamped digest %016x (TableHash %016x), routes digest to %016x", what, stamped, rt.TableHash(), want)
+		}
+	}
+	expectExact("boot")
+
+	// A zero-hop announce in the middle rejects the whole call.
+	v0, h0 := rt.Version(), rt.TableHash()
+	bad := []ribio.UpdateRecord{
+		{Prefix: fresh, NextHop: 9001},
+		{Prefix: ip.MustParsePrefix("198.51.100.0/24")},
+		{Withdraw: true, Prefix: routes[0].Prefix},
+	}
+	if _, err := rt.ApplyBatch(bad); err == nil {
+		t.Fatal("batch with a zero-hop announce accepted")
+	}
+	if rt.Version() != v0 || rt.TableHash() != h0 {
+		t.Fatalf("rejected batch published: version %d→%d, hash %016x→%016x", v0, rt.Version(), h0, rt.TableHash())
+	}
+	if hop, _, _ := rt.Lookup(fresh.First()); hop == 9001 {
+		t.Fatal("record ahead of the rejected one was applied")
+	}
+	if st := rt.Stats(); st.UpdateErrors != 1 || st.Batches != 0 {
+		t.Fatalf("rejected batch: %d update errors, %d writer batches; want 1, 0", st.UpdateErrors, st.Batches)
+	}
+
+	// Three records, one writer batch, one publication.
+	good := []ribio.UpdateRecord{bad[0], bad[2], {Prefix: ip.MustParsePrefix("198.51.100.0/24"), NextHop: 9003}}
+	cost, err := rt.ApplyBatch(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost.Total() <= 0 {
+		t.Fatalf("batch priced at %+v", cost)
+	}
+	if st := rt.Stats(); rt.Version() != v0+1 || st.Batches != 1 || st.BatchOps != 3 {
+		t.Fatalf("3-record batch: version %d→%d, %d writer batches of %d ops; want one publication", v0, rt.Version(), st.Batches, st.BatchOps)
+	}
+	if hop, _, _ := rt.Lookup(fresh.First()); hop != 9001 {
+		t.Fatalf("Lookup(%v) = %d after the batch, want 9001", fresh.First(), hop)
+	}
+	expectExact("structural batch")
+
+	// Rewriting the fresh route's hop is a hop-only publication patched
+	// into the live arena.
+	patches := rt.Stats().InPlacePatches
+	if _, err := rt.Announce(fresh, 9002); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Stats().InPlacePatches != patches+1 {
+		t.Fatal("hop rewrite did not take the in-place path")
+	}
+	expectExact("in-place hop patch")
+
+	// A rehome republishes the same table under new cuts.
+	h := rt.TableHash()
+	if err := rt.FailWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	if rt.TableHash() != h {
+		t.Fatal("rehome changed the table digest")
+	}
+	expectExact("rehome")
+	if err := rt.RecoverWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	expectExact("recover")
+}
+
+// TestWriterMergesLargeDiff drives diffs of mergeMinOps or more ops —
+// a hop-only rewrite of a fragmented /8, its withdrawal and its
+// re-announcement — through the writer's one-pass merge, which must
+// leave the mirror, the published snapshot and its digest exactly where
+// the op-by-op replay would.
+func TestWriterMergesLargeDiff(t *testing.T) {
+	base := []ip.Route{
+		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
+		{Prefix: ip.MustParsePrefix("20.0.0.0/8"), NextHop: 3},
+	}
+	// Enough fragments that the table carries the stride index, so the
+	// merge's insert/delete cuts feed a real index patch.
+	for i := 0; i < strideMinRoutes+50; i++ {
+		base = append(base, ip.Route{Prefix: ip.MustPrefix(ip.Addr(10<<24|uint32(i%250)<<16|uint32(i/250*64+7)<<8), 24), NextHop: ip.NextHop(100 + i)})
+	}
+	rt, err := New(base, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ref := onrtc.BuildUpdater(trie.FromRoutes(base))
+	slash8 := ip.MustParsePrefix("10.0.0.0/8")
+	for _, step := range []struct {
+		name     string
+		rec      ribio.UpdateRecord
+		hopsOnly bool
+	}{
+		{"rehop", ribio.UpdateRecord{Prefix: slash8, NextHop: 2}, true},
+		{"withdraw", ribio.UpdateRecord{Withdraw: true, Prefix: slash8}, false},
+		{"announce", ribio.UpdateRecord{Prefix: slash8, NextHop: 5}, false},
+	} {
+		var d onrtc.Diff
+		if step.rec.Withdraw {
+			d = ref.Withdraw(step.rec.Prefix)
+		} else {
+			d = ref.Announce(step.rec.Prefix, step.rec.NextHop)
+		}
+		if len(d.Ops) < mergeMinOps {
+			t.Fatalf("%s: diff of %d ops does not reach the merge path (%d)", step.name, len(d.Ops), mergeMinOps)
+		}
+		patches := rt.Stats().InPlacePatches
+		if _, err := rt.ApplyBatch([]ribio.UpdateRecord{step.rec}); err != nil {
+			t.Fatal(err)
+		}
+		if inPlace := rt.Stats().InPlacePatches > patches; inPlace != step.hopsOnly {
+			t.Fatalf("%s: in-place publication %v, want %v", step.name, inPlace, step.hopsOnly)
+		}
+		expectRoutes := func(what string, got []ip.Route) {
+			t.Helper()
+			want := ref.Table().Routes()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s has %d routes, reference %d", step.name, what, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: %s[%d] = %v, reference %v", step.name, what, i, got[i], want[i])
+				}
+			}
+		}
+		expectRoutes("writer mirror", rt.table)
+		slot := rt.ep.enter(rt.pinSeed.Add(1))
+		expectRoutes("snapshot", rt.snap.Load().Routes())
+		indexed := rt.snap.Load().Indexed()
+		slot.exit()
+		if !indexed {
+			t.Fatalf("%s: snapshot carries no stride index", step.name)
+		}
+		for _, r := range ref.Table().Routes() {
+			for _, a := range []ip.Addr{r.Prefix.First(), r.Prefix.Last()} {
+				if hop, _, _ := rt.Lookup(a); hop != r.NextHop {
+					t.Fatalf("%s: Lookup(%v) = %d, reference %d", step.name, a, hop, r.NextHop)
+				}
+			}
+		}
+		if stamped, want := publishedDigest(rt); stamped != want || want != ref.Table().Digest() {
+			t.Fatalf("%s: stamped digest %016x, routes %016x, reference %016x", step.name, stamped, want, ref.Table().Digest())
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"clue/internal/ip"
+	"clue/internal/onrtc"
 )
 
 // Snapshot is an immutable view of the compressed forwarding table plus
@@ -68,12 +69,9 @@ type Snapshot struct {
 	// workers than routes). Home never returns them and the load
 	// balancer will not divert to them.
 	empty []bool
-	// hashVal/hashKnown cache CanonicalHash: the digest is O(routes), so
-	// it is computed on first demand and memoised per snapshot (hashVal
-	// is published before hashKnown; a racing second computation writes
-	// the same value).
-	hashVal   atomic.Uint64
-	hashKnown atomic.Bool
+	// digest is the canonical digest (onrtc.Digest) of the table this
+	// snapshot was published with, stamped by its builder.
+	digest uint64
 }
 
 // LookupResult is one answer of a Snapshot.LookupBatch call.
@@ -112,6 +110,7 @@ func fillSlabs(rng []uint64, hop []uint32, routes []ip.Route) {
 // strideMinRoutes.
 func newSnapshot(version uint64, routes []ip.Route, workers int) *Snapshot {
 	s := snapshotShell(version, routes, workers, nil, nil)
+	s.digest = onrtc.Digest(routes)
 	if len(routes) >= strideMinRoutes {
 		s.index = buildIndexInto(s.ar, s.rng)
 	}
@@ -246,48 +245,15 @@ func (s *Snapshot) cutPlanned(workers int, plan []ip.Addr) bool {
 	return true
 }
 
-// FNV-1a 64 parameters (hash/fnv's, inlined so the digest loop runs
-// over the packed slabs with zero allocation).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// CanonicalHash digests the compressed table: FNV-1a 64 over each
-// route's (bits, length, next hop) in table order, byte-compatible with
-// feed.CanonicalHash over Routes(). Two tables converged to the same
-// canonical compression hash identically, so the digest is the
-// convergence check the scenario lab and the feed protocol share. The
-// value is computed on first call and cached on the snapshot; while the
-// writer is still patching next hops in place (only ever on snapshots
-// that never escaped through Runtime.Snapshot()) a concurrent digest is
-// advisory — re-read the hash from the latest snapshot once the update
-// stream quiesces for an exact answer.
-func (s *Snapshot) CanonicalHash() uint64 {
-	if s.hashKnown.Load() {
-		return s.hashVal.Load()
-	}
-	h := uint64(fnvOffset64)
-	byte1a := func(b byte) {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	u32 := func(v uint32) {
-		byte1a(byte(v >> 24))
-		byte1a(byte(v >> 16))
-		byte1a(byte(v >> 8))
-		byte1a(byte(v))
-	}
-	for i, e := range s.rng {
-		p := rngRoutePrefix(e)
-		u32(uint32(p.Bits))
-		byte1a(p.Len)
-		u32(atomic.LoadUint32(&s.hop[i]))
-	}
-	s.hashVal.Store(h)
-	s.hashKnown.Store(true)
-	return h
-}
+// CanonicalHash returns the canonical digest of the compressed table
+// (onrtc.Digest over Routes()) in O(1): the writer stamps each snapshot
+// with its updater's incrementally maintained digest. Two tables
+// converged to the same canonical compression hash identically, so the
+// digest is the convergence check the scenario lab and the feed protocol
+// share. A snapshot the writer has since patched hops into in place
+// (only ever one that never escaped through Runtime.Snapshot()) keeps
+// the digest it was published with; the latest snapshot's is exact.
+func (s *Snapshot) CanonicalHash() uint64 { return s.digest }
 
 // Len returns the compressed entry count.
 func (s *Snapshot) Len() int { return len(s.rng) }
