@@ -319,77 +319,44 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 	})
 
 	mux.HandleFunc("POST /lookup/batch", func(w http.ResponseWriter, r *http.Request) {
+		sc := scratchPool.Get().(*batchScratch)
+		defer scratchPool.Put(sc)
 		var req struct {
-			Addrs []string `json:"addrs"`
-			Path  string   `json:"path"`
+			Addrs []batchAddr `json:"addrs"`
+			Path  string      `json:"path"`
 		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		req.Addrs = sc.req[:0] // decoding appends, reusing the capacity
+		if !decodeBody(w, r, 1<<20, &req) {
 			return
 		}
-		if len(req.Addrs) == 0 {
+		sc.req = req.Addrs
+		addrs := sc.addrs[:0]
+		for _, a := range req.Addrs {
+			addrs = append(addrs, ip.Addr(a))
+		}
+		sc.addrs = addrs
+		if len(addrs) == 0 {
 			httpError(w, http.StatusBadRequest, errors.New("addrs must be a non-empty array"))
 			return
 		}
-		if len(req.Addrs) > maxBatchAddrs {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d addrs exceeds limit %d", len(req.Addrs), maxBatchAddrs))
+		if len(addrs) > maxBatchAddrs {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d addrs exceeds limit %d", len(addrs), maxBatchAddrs))
 			return
 		}
-		addrs := make([]ip.Addr, len(req.Addrs))
-		for i, s := range req.Addrs {
-			a, err := ip.ParseAddr(s)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			addrs[i] = a
-		}
-		type batchItem struct {
-			Addr     string `json:"addr"`
-			NextHop  uint32 `json:"next_hop"`
-			Prefix   string `json:"prefix,omitempty"`
-			Found    bool   `json:"found"`
-			Worker   int    `json:"worker,omitempty"`
-			Diverted bool   `json:"diverted,omitempty"`
-		}
-		type batchResp struct {
-			Count   int         `json:"count"`
-			Path    string      `json:"path"`
-			Version uint64      `json:"snapshot_version"`
-			Results []batchItem `json:"results"`
-		}
-		resp := batchResp{Count: len(addrs), Results: make([]batchItem, len(addrs))}
 		if req.Path == "snapshot" {
-			resp.Path = "snapshot"
-			results, version := rt.LookupBatch(addrs, nil)
-			resp.Version = version
-			for i, res := range results {
-				item := batchItem{Addr: addrs[i].String(), NextHop: uint32(res.Hop), Found: res.Found}
-				if res.Found {
-					item.Prefix = res.Prefix.String()
-				}
-				resp.Results[i] = item
-			}
+			var version uint64
+			sc.lres, version = rt.LookupBatch(addrs, sc.lres)
+			sc.buf = appendBatchSnapshot(sc.buf[:0], addrs, sc.lres, version)
 		} else {
-			resp.Path = "worker"
-			results, err := rt.DispatchBatch(addrs, nil)
+			var err error
+			sc.dres, err = rt.DispatchBatch(addrs, sc.dres)
 			if err != nil {
 				httpError(w, http.StatusServiceUnavailable, err)
 				return
 			}
-			for i, res := range results {
-				item := batchItem{
-					Addr: addrs[i].String(), NextHop: uint32(res.Hop), Found: res.Found,
-					Worker: res.Worker, Diverted: res.Diverted,
-				}
-				if res.Found {
-					item.Prefix = res.Prefix.String()
-				}
-				resp.Results[i] = item
-				resp.Version = res.Version
-			}
+			sc.buf = appendBatchWorker(sc.buf[:0], addrs, sc.dres)
 		}
-		writeJSON(w, resp)
+		writeReply(w, sc.buf)
 	})
 
 	type updateReq struct {
@@ -405,8 +372,7 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 	}
 	applyUpdate := func(w http.ResponseWriter, r *http.Request, apply func(ip.Prefix, ip.NextHop) (ttf.TTF, error), needHop bool) {
 		var req updateReq
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, 1<<16, &req) {
 			return
 		}
 		p, err := ip.ParsePrefix(req.Prefix)
@@ -520,8 +486,7 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 	adminWorker := func(action string, apply func(int) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			var req workerReq
-			if err := json.NewDecoder(io.LimitReader(r.Body, 1<<12)).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, err)
+			if !decodeBody(w, r, 1<<12, &req) {
 				return
 			}
 			if req.Worker == nil {
@@ -627,6 +592,23 @@ func writeFeedPrometheus(w io.Writer, s feed.FollowerStats) {
 	emit("clue_feed_records_total", "counter", "Update records applied from the feed.", float64(s.Records))
 	emit("clue_feed_hash_checks_total", "counter", "Canonical-table hash frames verified.", float64(s.HashChecks))
 	emit("clue_feed_hash_mismatches_total", "counter", "Hash frames that did not match (each forces a re-sync).", float64(s.HashMismatches))
+}
+
+// decodeBody decodes the JSON request body into v, reading at most
+// limit bytes. On failure it writes the error reply — 413 when the body
+// is over the limit, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, err)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

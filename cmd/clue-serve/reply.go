@@ -1,0 +1,126 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"strconv"
+	"sync"
+
+	"clue/internal/ip"
+	"clue/internal/serve"
+)
+
+// POST /lookup/batch is the service's hot path, so its reply is
+// appended as bytes rather than encoded by reflection. It must write
+// exactly what encoding/json writes for the reference structs in
+// reply_test.go — same field order, same omitempty rules, same trailing
+// newline — which the tests and FuzzLookupReply check byte for byte.
+// Every string field is a dotted quad, a CIDR prefix or a fixed path
+// name, none of which needs JSON escaping.
+
+// batchScratch is the per-request working set of the batch handler,
+// pooled so a steady request stream allocates none of it.
+type batchScratch struct {
+	buf   []byte
+	req   []batchAddr
+	addrs []ip.Addr
+	dres  []serve.Result
+	lres  []serve.LookupResult
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// batchAddr is one element of a batch request's "addrs". It accepts
+// only a JSON string holding a dotted quad. For a plain ip.Addr,
+// encoding/json skips a null element and leaves it as it was, which in
+// the pooled slice is an address from an earlier request.
+type batchAddr ip.Addr
+
+func (a *batchAddr) UnmarshalJSON(b []byte) error {
+	if len(b) < 2 || b[0] != '"' {
+		return errors.New("addrs: every element must be a string")
+	}
+	s := b[1 : len(b)-1]
+	if bytes.IndexByte(s, '\\') >= 0 { // escaped: let encoding/json unquote it
+		var str string
+		if err := json.Unmarshal(b, &str); err != nil {
+			return err
+		}
+		s = []byte(str)
+	}
+	return (*ip.Addr)(a).UnmarshalText(s)
+}
+
+// writeReply sends b as a JSON reply.
+func writeReply(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
+}
+
+// appendBatchHead opens a POST /lookup/batch reply: count, path,
+// snapshot_version and the results array.
+func appendBatchHead(b []byte, count int, path string, version uint64) []byte {
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(count), 10)
+	b = append(b, `,"path":"`...)
+	b = append(b, path...)
+	b = append(b, `","snapshot_version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	return append(b, `,"results":[`...)
+}
+
+// appendItem appends the fields every result item starts with: addr,
+// next_hop, prefix (only when found) and found. The object is left
+// open.
+func appendItem(b []byte, i int, a ip.Addr, hop ip.NextHop, pfx ip.Prefix, found bool) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, `{"addr":"`...)
+	b = a.AppendTo(b)
+	b = append(b, `","next_hop":`...)
+	b = strconv.AppendUint(b, uint64(hop), 10)
+	if found {
+		b = append(b, `,"prefix":"`...)
+		b = pfx.AppendTo(b)
+		b = append(b, '"')
+	}
+	b = append(b, `,"found":`...)
+	return strconv.AppendBool(b, found)
+}
+
+// appendBatchSnapshot appends the snapshot-path batch reply for addrs
+// answered by res at version.
+func appendBatchSnapshot(b []byte, addrs []ip.Addr, res []serve.LookupResult, version uint64) []byte {
+	b = appendBatchHead(b, len(addrs), "snapshot", version)
+	for i, r := range res {
+		b = appendItem(b, i, addrs[i], r.Hop, r.Prefix, r.Found)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendBatchWorker appends the worker-path batch reply for addrs
+// answered by res; the reply's snapshot_version is the last answer's.
+// worker and diverted are omitempty.
+func appendBatchWorker(b []byte, addrs []ip.Addr, res []serve.Result) []byte {
+	var version uint64
+	if len(res) > 0 {
+		version = res[len(res)-1].Version
+	}
+	b = appendBatchHead(b, len(addrs), "worker", version)
+	for i, r := range res {
+		b = appendItem(b, i, addrs[i], r.Hop, r.Prefix, r.Found)
+		if r.Worker != 0 {
+			b = append(b, `,"worker":`...)
+			b = strconv.AppendInt(b, int64(r.Worker), 10)
+		}
+		if r.Diverted {
+			b = append(b, `,"diverted":true`...)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
+}

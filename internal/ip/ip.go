@@ -12,7 +12,6 @@ package ip
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -21,20 +20,40 @@ import (
 type Addr uint32
 
 // ParseAddr parses dotted-quad notation ("192.0.2.1") into an Addr.
-func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("ip: invalid address %q: want 4 octets, got %d", s, len(parts))
-	}
-	var a uint32
-	for _, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("ip: invalid address %q: %w", s, err)
+// Each octet is one or more decimal digits (leading zeros allowed) of
+// value at most 255; nothing else is accepted, not even surrounding
+// space.
+func ParseAddr(s string) (Addr, error) { return parseAddr(s) }
+
+// parseAddr is ParseAddr in one pass over the text, for both string
+// and []byte input (UnmarshalText), allocating only on error.
+func parseAddr[T string | []byte](s T) (Addr, error) {
+	var a, octet uint32
+	dots, digits := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			octet = octet*10 + uint32(c-'0')
+			if octet > 255 {
+				return 0, fmt.Errorf("ip: invalid address %q: octet out of range", string(s))
+			}
+			digits++
+		case c == '.' && digits > 0 && dots < 3:
+			a = a<<8 | octet
+			octet, digits = 0, 0
+			dots++
+		default:
+			return 0, errAddrSyntax(string(s))
 		}
-		a = a<<8 | uint32(v)
 	}
-	return Addr(a), nil
+	if dots != 3 || digits == 0 {
+		return 0, errAddrSyntax(string(s))
+	}
+	return Addr(a<<8 | octet), nil
+}
+
+func errAddrSyntax(s string) error {
+	return fmt.Errorf("ip: invalid address %q: want four dot-separated decimal octets", s)
 }
 
 // MustParseAddr is ParseAddr for trusted literals; it panics on error.
@@ -48,7 +67,50 @@ func MustParseAddr(s string) Addr {
 
 // String renders the address in dotted-quad notation.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	return string(a.AppendTo(make([]byte, 0, maxAddrLen)))
+}
+
+// maxAddrLen is the length of the longest dotted quad, "255.255.255.255".
+const maxAddrLen = 15
+
+// AppendTo appends the dotted-quad form of a to b and returns the
+// extended buffer.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = appendDecimal(b, byte(a>>24))
+	b = append(b, '.')
+	b = appendDecimal(b, byte(a>>16))
+	b = append(b, '.')
+	b = appendDecimal(b, byte(a>>8))
+	b = append(b, '.')
+	return appendDecimal(b, byte(a))
+}
+
+// MarshalText implements encoding.TextMarshaler: the dotted quad.
+func (a Addr) MarshalText() ([]byte, error) {
+	return a.AppendTo(make([]byte, 0, maxAddrLen)), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler with ParseAddr's
+// grammar, so encoding/json decodes a JSON string straight into an
+// Addr.
+func (a *Addr) UnmarshalText(text []byte) error {
+	v, err := parseAddr(text)
+	if err != nil {
+		return err
+	}
+	*a = v
+	return nil
+}
+
+// appendDecimal appends v in decimal without leading zeros.
+func appendDecimal(b []byte, v uint8) []byte {
+	switch {
+	case v >= 100:
+		return append(b, '0'+v/100, '0'+v/10%10, '0'+v%10)
+	case v >= 10:
+		return append(b, '0'+v/10, '0'+v%10)
+	}
+	return append(b, '0'+v)
 }
 
 // Bit returns bit i of the address, where bit 0 is the most significant
@@ -89,21 +151,33 @@ func MustPrefix(addr Addr, length int) Prefix {
 	return p
 }
 
-// ParsePrefix parses CIDR notation ("10.0.0.0/8"). Host bits beyond the
-// prefix length are rejected rather than silently masked, so that config
-// typos surface early.
+// ParsePrefix parses CIDR notation ("10.0.0.0/8"): an address in
+// ParseAddr's grammar, '/', and a length of one or more decimal digits
+// (leading zeros allowed, no sign). Host bits beyond the prefix length
+// are rejected rather than silently masked, so that config typos
+// surface early.
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
 		return Prefix{}, fmt.Errorf("ip: invalid prefix %q: missing '/'", s)
 	}
-	addr, err := ParseAddr(s[:slash])
+	addr, err := parseAddr(s[:slash])
 	if err != nil {
 		return Prefix{}, err
 	}
-	length, err := strconv.Atoi(s[slash+1:])
-	if err != nil {
-		return Prefix{}, fmt.Errorf("ip: invalid prefix %q: %w", s, err)
+	digits := s[slash+1:]
+	if digits == "" {
+		return Prefix{}, fmt.Errorf("ip: invalid prefix %q: empty length", s)
+	}
+	length := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return Prefix{}, fmt.Errorf("ip: invalid prefix %q: length is not a decimal number", s)
+		}
+		// Saturate just past the range, so any run of digits stays
+		// bounded and still fails NewPrefix.
+		length = min(length*10+int(c-'0'), AddrBits+1)
 	}
 	p, err := NewPrefix(addr, length)
 	if err != nil {
@@ -137,7 +211,15 @@ func (p Prefix) Mask() Addr { return maskFor(int(p.Len)) }
 
 // String renders the prefix in CIDR notation.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", p.Bits, p.Len)
+	return string(p.AppendTo(make([]byte, 0, maxAddrLen+4)))
+}
+
+// AppendTo appends the CIDR form of p to b and returns the extended
+// buffer.
+func (p Prefix) AppendTo(b []byte) []byte {
+	b = p.Bits.AppendTo(b)
+	b = append(b, '/')
+	return appendDecimal(b, p.Len)
 }
 
 // BitString renders the prefix as its bit pattern followed by '*', the

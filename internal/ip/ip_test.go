@@ -86,30 +86,46 @@ func TestNewPrefixRange(t *testing.T) {
 	}
 }
 
+// TestParsePrefix pins the CIDR grammar every input surface shares
+// (ribio, the HTTP API, the oracle scripts): one case per edge.
 func TestParsePrefix(t *testing.T) {
 	tests := []struct {
+		name    string
 		in      string
 		want    string
 		wantErr bool
 	}{
-		{in: "10.0.0.0/8", want: "10.0.0.0/8"},
-		{in: "0.0.0.0/0", want: "0.0.0.0/0"},
-		{in: "255.255.255.255/32", want: "255.255.255.255/32"},
-		{in: "192.0.2.0/24", want: "192.0.2.0/24"},
-		{in: "10.0.0.1/8", wantErr: true}, // host bits set
-		{in: "10.0.0.0/33", wantErr: true},
-		{in: "10.0.0.0", wantErr: true},
-		{in: "10.0.0.0/x", wantErr: true},
+		{name: "default route /0", in: "0.0.0.0/0", want: "0.0.0.0/0"},
+		{name: "host route /32", in: "255.255.255.255/32", want: "255.255.255.255/32"},
+		{name: "plain /8", in: "10.0.0.0/8", want: "10.0.0.0/8"},
+		{name: "plain /24", in: "192.0.2.0/24", want: "192.0.2.0/24"},
+		{name: "length 33", in: "10.0.0.0/33", wantErr: true},
+		{name: "host bits set", in: "10.0.0.1/8", wantErr: true},
+		{name: "bare address without slash", in: "10.0.0.0", wantErr: true},
+		{name: "empty octet", in: "10..0.0/8", wantErr: true},
+		{name: "octet 256", in: "256.0.0.0/8", wantErr: true},
+		{name: "trailing dot", in: "10.0.0.0./8", wantErr: true},
+		{name: "leading space", in: " 10.0.0.0/8", wantErr: true},
+		{name: "trailing space", in: "10.0.0.0/8 ", wantErr: true},
+		{name: "plus sign on length", in: "10.0.0.0/+8", wantErr: true},
+		{name: "minus zero length", in: "0.0.0.0/-0", wantErr: true},
+		{name: "plus sign on octet", in: "+10.0.0.0/8", wantErr: true},
+		{name: "empty length", in: "10.0.0.0/", wantErr: true},
+		{name: "non-numeric length", in: "10.0.0.0/x", wantErr: true},
+		{name: "leading zeros accepted", in: "010.0.0.0/08", want: "10.0.0.0/8"},
+		{name: "many leading zeros in length", in: "10.0.0.0/000000000000000000008", want: "10.0.0.0/8"},
+		{name: "huge length", in: "10.0.0.0/99999999999999999999", wantErr: true},
 	}
 	for _, tt := range tests {
-		got, err := ParsePrefix(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("ParsePrefix(%q) error = %v, wantErr %v", tt.in, err, tt.wantErr)
-			continue
-		}
-		if err == nil && got.String() != tt.want {
-			t.Errorf("ParsePrefix(%q) = %s, want %s", tt.in, got, tt.want)
-		}
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := ParsePrefix(tt.in)
+			if (err != nil) != tt.wantErr {
+				t.Fatalf("ParsePrefix(%q) error = %v, wantErr %v", tt.in, err, tt.wantErr)
+			}
+			if err == nil && got.String() != tt.want {
+				t.Errorf("ParsePrefix(%q) = %s, want %s", tt.in, got, tt.want)
+			}
+		})
 	}
 }
 
@@ -302,6 +318,22 @@ func TestPrefixStringParseRoundTrip(t *testing.T) {
 		}
 		if back != p {
 			t.Fatalf("round trip %s -> %s", p, back)
+		}
+	}
+}
+
+// TestFormatMatchesReference checks every length and random addresses
+// against the fmt.Sprintf formatting String replaced, including the
+// non-canonical Len values only a struct literal can build.
+func TestFormatMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		p := Prefix{Bits: Addr(rng.Uint32()), Len: uint8(rng.Intn(256))}
+		if got, want := p.String(), refPrefixString(p); got != want {
+			t.Fatalf("Prefix%+v.String() = %q, want %q", p, got, want)
+		}
+		if got, want := p.Bits.String(), refAddrString(p.Bits); got != want {
+			t.Fatalf("Addr(%#x).String() = %q, want %q", uint32(p.Bits), got, want)
 		}
 	}
 }
