@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -90,7 +92,7 @@ func TestEnqueueFallbackReachesAnyHealthyWorker(t *testing.T) {
 // workers excluded from the recut, or surplus workers on tiny tables —
 // are never returned while any non-empty worker exists. The down-worker-0
 // rows are the regression shape: worker 0 inherits the first survivor's
-// start, so the index search can land on it.
+// start, so the start count in Home can land on it.
 func TestSnapshotHomeNeverReturnsEmptyWorker(t *testing.T) {
 	_, routes := testRoutes(t, 500, 61)
 	probes := []ip.Addr{
@@ -161,6 +163,82 @@ func TestSnapshotHomeWalksUpOffEmptyWorkerZero(t *testing.T) {
 		if got := s.Home(tc.addr); got != tc.want {
 			t.Errorf("Home(%d) = %d, want %d", tc.addr, got, tc.want)
 		}
+	}
+}
+
+// homeBySearch is Snapshot.Home as a binary search over starts — the
+// reference the branch-free count in Home must reproduce.
+func homeBySearch(s *Snapshot, addr ip.Addr) int {
+	i := sort.Search(len(s.starts), func(i int) bool {
+		return s.starts[i] > addr
+	}) - 1
+	if i < 0 {
+		i = 0
+	}
+	for i > 0 && s.empty[i] {
+		i--
+	}
+	if s.empty[i] {
+		for j := i + 1; j < len(s.empty); j++ {
+			if !s.empty[j] {
+				return j
+			}
+		}
+	}
+	return i
+}
+
+// TestSnapshotHomeMatchesSearch pins Home's branch-free count to the
+// binary search it replaced, across random addresses, every cut point
+// and its neighbours, and every partition layout the constructors
+// produce: even cuts, down workers (worker 0 included), trailing empty
+// workers behind the max-address sentinel, more workers than routes,
+// and rebalancer plans — plus the hand-built empty-worker-0 shape.
+func TestSnapshotHomeMatchesSearch(t *testing.T) {
+	_, routes := testRoutes(t, 500, 64)
+	rng := rand.New(rand.NewSource(64))
+	randomPlan := func(workers int) []ip.Addr {
+		plan := make([]ip.Addr, workers)
+		for j := 1; j < workers; j++ {
+			plan[j] = ip.Addr(rng.Uint32())
+		}
+		sort.Slice(plan, func(a, b int) bool { return plan[a] < plan[b] })
+		return plan
+	}
+	layouts := []struct {
+		name string
+		s    *Snapshot
+	}{
+		{"one worker", snapshotShell(1, routes, 1, nil, nil)},
+		{"all healthy", snapshotShell(1, routes, 4, nil, nil)},
+		{"worker 0 down", snapshotShell(1, routes, 4, []bool{true, false, false, false}, nil)},
+		{"workers 0 and 1 down", snapshotShell(1, routes, 5, []bool{true, true, false, false, false}, nil)},
+		{"trailing workers down", snapshotShell(1, routes, 5, []bool{false, false, false, true, true}, nil)},
+		{"only last worker up", snapshotShell(1, routes, 4, []bool{true, true, true, false}, nil)},
+		{"surplus workers, tiny table", snapshotShell(1, routes[:3], 8, nil, nil)},
+		{"worker 0 down, tiny table", snapshotShell(1, routes[:2], 6, []bool{true, false, false, false, false, false}, nil)},
+		{"empty table", snapshotShell(1, nil, 3, nil, nil)},
+		{"planned cuts", snapshotShell(1, routes, 4, nil, randomPlan(4))},
+		{"planned cuts, 7 workers", snapshotShell(1, routes, 7, nil, randomPlan(7))},
+		{"colliding plan", snapshotShell(1, routes, 4, nil, []ip.Addr{0, 5, 5, 5})},
+		{"empty worker 0 at start 0", &Snapshot{starts: []ip.Addr{0, 100, 200}, empty: []bool{true, false, false}}},
+	}
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			probes := []ip.Addr{0, ip.Addr(^uint32(0))}
+			for _, st := range l.s.starts {
+				probes = append(probes, st-1, st, st+1)
+			}
+			for i := 0; i < 4000; i++ {
+				probes = append(probes, ip.Addr(rng.Uint32()))
+			}
+			for _, a := range probes {
+				if got, want := l.s.Home(a), homeBySearch(l.s, a); got != want {
+					t.Fatalf("Home(%s) = %d, search says %d (starts=%v empty=%v)",
+						a, got, want, l.s.starts, l.s.empty)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -353,5 +354,83 @@ func TestRebalanceConfigValidate(t *testing.T) {
 	rt.Close()
 	if _, err := rt.Rebalance(true); err != ErrClosed {
 		t.Errorf("Rebalance after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestDispatchBatchSketchMatchesDispatch pins the batch path's traffic
+// sampling to the single-address path's: the same address sequence sent
+// through DispatchBatch on one runtime and through sequential Dispatch
+// calls on a twin reaches each worker in the same order, so the two
+// must record identical per-bucket sketches and drain identical sample
+// counts. The batch sizes are not multiples of the sampling period, so
+// the sample phase must carry across batches.
+func TestDispatchBatchSketchMatchesDispatch(t *testing.T) {
+	_, routes := testRoutes(t, 3000, 23)
+	batched, err := New(routes, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batched.Close()
+	single, err := New(routes, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+
+	rng := rand.New(rand.NewSource(23))
+	addrs := make([]ip.Addr, 6000)
+	for i := range addrs {
+		addrs[i] = ip.Addr(rng.Uint32())
+	}
+	var out []Result
+	for rest, n := addrs, 1; len(rest) > 0; n = n*3 + 2 {
+		if n > len(rest) {
+			n = len(rest)
+		}
+		if out, err = batched.DispatchBatch(rest[:n], out); err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range out {
+			if res.Diverted {
+				t.Fatalf("batch result %d diverted: the workers would see a different order", i)
+			}
+		}
+		rest = rest[n:]
+	}
+	for _, a := range addrs {
+		res, err := single.Dispatch(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Diverted {
+			t.Fatalf("Dispatch(%s) diverted: the workers would see a different order", a)
+		}
+	}
+
+	var recorded uint64
+	for w := range batched.workers {
+		bs, ss := batched.workers[w].sketch, single.workers[w].sketch
+		for b := range bs {
+			got, want := bs[b].Load(), ss[b].Load()
+			if got != want {
+				t.Fatalf("worker %d sketch bucket %d: batch path %d, single path %d", w, b, got, want)
+			}
+			recorded += got
+		}
+	}
+	if recorded == 0 {
+		t.Fatal("no samples recorded on either path")
+	}
+	rb, err := batched.Rebalance(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := single.Rebalance(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.DrainedSamples != rs.DrainedSamples || rb.DrainedSamples != recorded {
+		t.Fatalf("drained %d samples via batches, %d via single dispatches, %d recorded",
+			rb.DrainedSamples, rs.DrainedSamples, recorded)
 	}
 }

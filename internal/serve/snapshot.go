@@ -526,13 +526,16 @@ func (s *Snapshot) LookupBatch(addrs []ip.Addr, out []LookupResult) []LookupResu
 // are never returned as long as the snapshot has any non-empty worker —
 // which cutPartitions guarantees by construction.
 func (s *Snapshot) Home(addr ip.Addr) int {
-	i := sort.Search(len(s.starts), func(i int) bool {
-		return s.starts[i] > addr
-	}) - 1
-	if i < 0 {
-		i = 0
+	// starts never decreases, so the last worker whose start is <= addr
+	// is the number of such starts past worker 0 — worker 0 when there
+	// are none. The count is summed without a data-dependent branch: on
+	// random addresses a binary search's branches mispredict.
+	i := 0
+	a := uint64(addr)
+	for _, st := range s.starts[1:] {
+		i += int(^(a - uint64(st)) >> 63)
 	}
-	// The search can land on an empty worker (its start is inherited from
+	// The count can land on an empty worker (its start is inherited from
 	// its successor, or the max-address sentinel for trailing empties):
 	// walk down to the owning worker. Walking down can bottom out on an
 	// empty worker 0 — a down worker 0 inherits the first survivor's
