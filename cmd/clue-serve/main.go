@@ -297,10 +297,14 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 		resp := lookupResp{Addr: a.String()}
 		if r.URL.Query().Get("path") == "snapshot" {
 			resp.Path = "snapshot"
-			hop, pfx, ok := rt.Lookup(a)
-			resp.NextHop, resp.Found, resp.Version = uint32(hop), ok, rt.Version()
-			if ok {
-				resp.Prefix = pfx.String()
+			// A one-address batch returns the version of the snapshot that
+			// answered; reading Version separately could stamp the answer
+			// with a later publication.
+			var res [1]serve.LookupResult
+			_, resp.Version = rt.LookupBatch([]ip.Addr{a}, res[:])
+			resp.NextHop, resp.Found = uint32(res[0].Hop), res[0].Found
+			if res[0].Found {
+				resp.Prefix = res[0].Prefix.String()
 			}
 		} else {
 			resp.Path = "worker"

@@ -786,3 +786,67 @@ func TestFollowModeRejectsLocalSources(t *testing.T) {
 		t.Fatalf("conflicting sources accepted: %v", err)
 	}
 }
+
+// TestSnapshotLookupVersionAnswers holds GET /lookup to the version of
+// the snapshot that actually answered, on both paths. One goroutine
+// flips 10.0.0.0/8 in and out of a two-route table, one publication per
+// op, so the answer for 10.1.2.3 is fixed by the parity of its version:
+// hop 7 after an odd number of publications past the base, no route
+// after an even one.
+func TestSnapshotLookupVersionAnswers(t *testing.T) {
+	rt, err := serve.New([]ip.Route{
+		{Prefix: ip.MustParsePrefix("172.16.0.0/12"), NextHop: 2},
+		{Prefix: ip.MustParsePrefix("192.168.0.0/16"), NextHop: 1},
+	}, serve.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	h := newHandler(rt, false, nil)
+	base := rt.Version()
+	flip := ip.MustParsePrefix("10.0.0.0/8")
+
+	stop := make(chan struct{})
+	flipped := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				flipped <- nil
+				return
+			default:
+			}
+			if _, err := rt.Announce(flip, 7); err != nil {
+				flipped <- err
+				return
+			}
+			if _, err := rt.Withdraw(flip); err != nil {
+				flipped <- err
+				return
+			}
+		}
+	}()
+
+	for _, path := range []string{"snapshot", "worker"} {
+		mismatches := 0
+		for i := 0; i < 10000; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/lookup?addr=10.1.2.3&path="+path, nil))
+			var res lookupResp
+			if err := json.NewDecoder(rec.Body).Decode(&res); err != nil {
+				t.Fatalf("%s: status %d: %v", path, rec.Code, err)
+			}
+			announced := (res.Version-base)%2 == 1
+			if res.Found != announced || (announced && res.NextHop != 7) {
+				mismatches++
+			}
+		}
+		if mismatches != 0 {
+			t.Errorf("path=%s: %d of 10000 answers disagree with their snapshot_version", path, mismatches)
+		}
+	}
+	close(stop)
+	if err := <-flipped; err != nil {
+		t.Fatal(err)
+	}
+}

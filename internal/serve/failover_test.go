@@ -58,11 +58,12 @@ func TestEnqueueFallbackReachesAnyHealthyWorker(t *testing.T) {
 	if home := snap.Home(a); home != 0 {
 		t.Fatalf("probe homed to %d, want 0", home)
 	}
-	done := make(chan Result, 1)
-	if err := rt.enqueue(lookupReq{addr: a, home: 0, done: done}); err != nil {
+	batch, out, done := []ip.Addr{a}, make([]Result, 1), make(chan struct{}, 1)
+	if err := rt.enqueue(lookupReq{home: 0, batch: batch, out: out, done: done}); err != nil {
 		t.Fatalf("enqueue with home down and divert target full: %v (want fallback to worker 2)", err)
 	}
-	res := <-done
+	<-done
+	res := out[0]
 	if res.Worker != 2 || !res.Diverted {
 		t.Fatalf("served by worker %d (diverted=%v), want fallback to worker 2", res.Worker, res.Diverted)
 	}
@@ -77,7 +78,7 @@ func TestEnqueueFallbackReachesAnyHealthyWorker(t *testing.T) {
 	// ErrNoHealthyWorkers, not a timeout.
 	rt.workers[1].state.Store(int32(WorkerFailed))
 	rt.workers[2].state.Store(int32(WorkerFailed))
-	err = rt.enqueue(lookupReq{addr: a, home: 0, done: done})
+	err = rt.enqueue(lookupReq{home: 0, batch: batch, out: out, done: done})
 	if !errors.Is(err, ErrNoHealthyWorkers) {
 		t.Fatalf("enqueue with all workers down = %v, want ErrNoHealthyWorkers", err)
 	}
@@ -243,7 +244,7 @@ func TestSnapshotHomeMatchesSearch(t *testing.T) {
 }
 
 // TestAnswerAfterPanicSingle drives worker.handle with a poisoned
-// single request and checks the recovery contract: the dispatcher still
+// one-address request (Dispatch's shape) and checks the recovery contract: the dispatcher still
 // gets the correct answer (computed from the bare snapshot), the worker
 // is marked failed, and the panic is accounted exactly once.
 func TestAnswerAfterPanicSingle(t *testing.T) {
@@ -256,10 +257,11 @@ func TestAnswerAfterPanicSingle(t *testing.T) {
 
 	w := rt.workers[1]
 	a := routes[len(routes)/2].Prefix.First()
-	done := make(chan Result, 1)
-	w.handle(lookupReq{addr: a, home: 1, done: done, poison: true})
+	out, done := make([]Result, 1), make(chan struct{}, 1)
+	w.handle(lookupReq{home: 1, batch: []ip.Addr{a}, out: out, done: done, poison: true})
 
-	res := <-done
+	<-done
+	res := out[0]
 	want, _ := fib.Lookup(a, nil)
 	if res.Found != (want != ip.NoRoute) || (res.Found && res.Hop != want) {
 		t.Fatalf("post-panic answer %+v, want hop %d", res, want)
@@ -313,7 +315,7 @@ func TestAnswerAfterPanicBatch(t *testing.T) {
 		batch[i] = routes[(i*31)%len(routes)].Prefix.First()
 	}
 	out := make([]Result, len(batch))
-	done := make(chan Result, 1)
+	done := make(chan struct{}, 1)
 	w.handle(lookupReq{home: 0, batch: batch, out: out, done: done, poison: true, diverted: true})
 
 	<-done // the sentinel: without it the dispatcher would hang

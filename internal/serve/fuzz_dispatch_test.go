@@ -7,17 +7,19 @@ import (
 	"clue/internal/ip"
 )
 
-// FuzzDispatchBatch is the differential test for the worker batch path:
+// FuzzDispatchBatch is the differential test for the worker path:
 // whatever the batch — empty, duplicated addresses, route boundaries,
 // arbitrary addresses — and whatever the partition layout — one to five
-// workers, optionally one failed — every Result DispatchBatch returns
-// must carry the snapshot's answer and provenance: Hop, Prefix and Found
-// as Snapshot.Lookup gives them, Home as Snapshot.Home gives it, served
-// by the home worker unless diverted, and the snapshot's version. Batch
-// addresses come from the raw bytes (4 per address) and, past those,
-// from the seeded RNG: a fresh address, a route's first address, or a
-// repeat of an earlier batch entry.
+// workers, optionally one failed — every Result DispatchBatch returns,
+// and every Result Dispatch returns for the batch's first
+// maxSingleDispatches addresses, must carry the snapshot's answer and
+// provenance: Hop, Prefix and Found as Snapshot.Lookup gives them, Home
+// as Snapshot.Home gives it, served by the home worker unless diverted,
+// and the snapshot's version. Batch addresses come from the raw bytes
+// (4 per address) and, past those, from the seeded RNG: a fresh address,
+// a route's first address, or a repeat of an earlier batch entry.
 func FuzzDispatchBatch(f *testing.F) {
+	const maxSingleDispatches = 64
 	_, routes := testRoutes(f, 3000, 71)
 	f.Add(int64(1), uint8(0), uint8(0), uint16(0), []byte{})
 	f.Add(int64(2), uint8(3), uint8(0), uint16(1000), []byte{10, 0, 0, 1, 10, 0, 0, 1})
@@ -61,21 +63,31 @@ func FuzzDispatchBatch(f *testing.F) {
 		if len(out) != len(addrs) {
 			t.Fatalf("%d results for %d addresses", len(out), len(addrs))
 		}
-		for i, a := range addrs {
-			res := out[i]
+		check := func(path string, i int, a ip.Addr, res Result) {
+			t.Helper()
 			hop, pfx, ok := snap.Lookup(a)
 			if res.Hop != hop || res.Prefix != pfx || res.Found != ok {
-				t.Fatalf("batch[%d] (%s) = %d/%s/%v, snapshot %d/%s/%v", i, a, res.Hop, res.Prefix, res.Found, hop, pfx, ok)
+				t.Fatalf("%s[%d] (%s) = %d/%s/%v, snapshot %d/%s/%v", path, i, a, res.Hop, res.Prefix, res.Found, hop, pfx, ok)
 			}
 			if home := snap.Home(a); res.Home != home {
-				t.Fatalf("batch[%d] (%s) home %d, snapshot %d", i, a, res.Home, home)
+				t.Fatalf("%s[%d] (%s) home %d, snapshot %d", path, i, a, res.Home, home)
 			}
 			if !res.Diverted && res.Worker != res.Home {
-				t.Fatalf("batch[%d] (%s) served by %d, home %d, not diverted", i, a, res.Worker, res.Home)
+				t.Fatalf("%s[%d] (%s) served by %d, home %d, not diverted", path, i, a, res.Worker, res.Home)
 			}
 			if res.Version != snap.Version {
-				t.Fatalf("batch[%d] (%s) version %d, snapshot %d", i, a, res.Version, snap.Version)
+				t.Fatalf("%s[%d] (%s) version %d, snapshot %d", path, i, a, res.Version, snap.Version)
 			}
+		}
+		for i, a := range addrs {
+			check("batch", i, a, out[i])
+		}
+		for i, a := range addrs[:min(len(addrs), maxSingleDispatches)] {
+			res, err := rt.Dispatch(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("dispatch", i, a, res)
 		}
 	})
 }

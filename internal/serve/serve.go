@@ -365,9 +365,9 @@ func (r *Runtime) Lookup(addr ip.Addr) (ip.NextHop, ip.Prefix, bool) {
 }
 
 // LookupBatch resolves addrs on the snapshot path with one epoch pin
-// and one atomic load for the whole batch. Results are appended into
-// out (reused when its capacity suffices) and returned with the
-// answering snapshot's version.
+// and one atomic load for the whole batch. Results are written into out
+// (reused when its capacity suffices) in input order and returned with
+// the answering snapshot's version.
 func (r *Runtime) LookupBatch(addrs []ip.Addr, out []LookupResult) ([]LookupResult, uint64) {
 	tick := r.m.snapshotLookups.Add(int64(len(addrs)))
 	slot := r.ep.enter(uint64(tick))
@@ -377,13 +377,26 @@ func (r *Runtime) LookupBatch(addrs []ip.Addr, out []LookupResult) ([]LookupResu
 	return out, snap.Version
 }
 
+// singleReq is Dispatch's pooled one-address group: the request's batch
+// and out slices point into it, and it owns its completion channel, which
+// is clean whenever the request is back in the pool.
+type singleReq struct {
+	addr [1]ip.Addr
+	res  [1]Result
+	done chan struct{}
+}
+
+var singlePool = sync.Pool{New: func() any { return &singleReq{done: make(chan struct{}, 1)} }}
+
 // Dispatch routes the lookup to its home partition worker over a bounded
-// queue, mirroring the paper's Indexing Logic. A full home queue — or a
-// failed/draining home worker — diverts the request to the least-loaded
-// healthy worker (Adaptive Load Balancing Logic), which answers it from
-// the same shared snapshot. Dispatch blocks until the request is served,
-// bounded by the enqueue retry/timeout budget: a wedged runtime yields
-// ErrEnqueueTimeout (or ErrNoHealthyWorkers), never a hang.
+// queue, mirroring the paper's Indexing Logic. It is a one-address
+// DispatchBatch group: the same enqueue, divert and worker serve path. A
+// full home queue — or a failed/draining home worker — diverts the
+// request to the least-loaded healthy worker (Adaptive Load Balancing
+// Logic), which answers it from the same shared snapshot. Dispatch
+// blocks until the request is served, bounded by the enqueue
+// retry/timeout budget: a wedged runtime yields ErrEnqueueTimeout (or
+// ErrNoHealthyWorkers), never a hang.
 func (r *Runtime) Dispatch(addr ip.Addr) (Result, error) {
 	if r.closed.Load() {
 		return Result{}, ErrClosed
@@ -400,15 +413,17 @@ func (r *Runtime) Dispatch(addr ip.Addr) (Result, error) {
 	if sampled {
 		start = time.Now()
 	}
+	sr := singlePool.Get().(*singleReq)
+	sr.addr[0] = addr
 	home := r.snap.Load().Home(addr)
-	done := getDone()
-	if err := r.enqueue(lookupReq{addr: addr, home: home, done: done}); err != nil {
-		putDone(done) // never enqueued, so the channel is clean
+	if err := r.enqueue(lookupReq{home: home, batch: sr.addr[:], out: sr.res[:], done: sr.done}); err != nil {
+		singlePool.Put(sr) // never enqueued, so the channel is clean
 		return Result{}, err
 	}
 	r.m.dispatched.Add(1)
-	res := <-done
-	putDone(done)
+	<-sr.done
+	res := sr.res[0]
+	singlePool.Put(sr)
 	if sampled {
 		ns := time.Since(start).Nanoseconds()
 		if res.Diverted {
@@ -421,7 +436,9 @@ func (r *Runtime) Dispatch(addr ip.Addr) (Result, error) {
 }
 
 // batchScratch holds one DispatchBatch call's reusable buffers, pooled
-// across calls.
+// across calls. Each dones channel is made once and reused: a scratch
+// goes back to the pool only after every group it enqueued has
+// signalled, so its channels are always clean.
 type batchScratch struct {
 	homes   []int32
 	counts  []int32
@@ -429,7 +446,7 @@ type batchScratch struct {
 	ordered []ip.Addr
 	perm    []int32
 	res     []Result
-	dones   []chan Result
+	dones   []chan struct{}
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -438,7 +455,10 @@ func (sc *batchScratch) size(workers, n int) {
 	if cap(sc.counts) < workers {
 		sc.counts = make([]int32, workers)
 		sc.offs = make([]int32, workers)
-		sc.dones = make([]chan Result, workers)
+		sc.dones = make([]chan struct{}, workers)
+		for i := range sc.dones {
+			sc.dones[i] = make(chan struct{}, 1)
+		}
 	}
 	sc.counts = sc.counts[:workers]
 	sc.offs = sc.offs[:workers]
@@ -461,8 +481,8 @@ func (sc *batchScratch) size(workers, n int) {
 // amortizing queue traffic), each group is served against a single
 // snapshot load, and the results are scattered back into input order.
 // Groups whose home queue is full divert whole to the least-loaded
-// worker, like single dispatches. Results are written into out (reused
-// when its capacity suffices).
+// worker. Results are written into out (reused when its capacity
+// suffices).
 func (r *Runtime) DispatchBatch(addrs []ip.Addr, out []Result) ([]Result, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
@@ -514,27 +534,23 @@ func (r *Runtime) DispatchBatch(addrs []ip.Addr, out []Result) ([]Result, error)
 			continue
 		}
 		end := sc.offs[h] // advanced to the group's end by the scatter pass
-		done := getDone()
 		err := r.enqueue(lookupReq{
 			home:  h,
 			batch: sc.ordered[end-cnt : end],
 			out:   sc.res[end-cnt : end],
-			done:  done,
+			done:  sc.dones[pending],
 		})
 		if err != nil {
-			putDone(done) // this group never enqueued; its channel is clean
-			enqErr = err
+			enqErr = err // this group never enqueued; its channel is clean
 			break
 		}
-		sc.dones[pending] = done
 		pending++
 	}
 	// Drain every enqueued group even when a later group failed:
-	// returning a done channel to the pool with a send still pending
-	// would poison an unrelated future dispatch.
+	// returning the scratch to the pool with a send still pending would
+	// poison an unrelated future dispatch.
 	for i := 0; i < pending; i++ {
 		<-sc.dones[i]
-		putDone(sc.dones[i])
 	}
 	if enqErr != nil {
 		batchPool.Put(sc)
@@ -561,21 +577,17 @@ func (r *Runtime) DispatchBatch(addrs []ip.Addr, out []Result) ([]Result, error)
 // worker health is re-read every round so failures and recoveries take
 // effect mid-wait.
 func (r *Runtime) enqueue(req lookupReq) error {
-	weight := int64(1)
-	if req.batch != nil {
-		weight = int64(len(req.batch))
-	}
 	var deadline time.Time
 	backoff := enqueueBackoffMin
 	for attempt := 0; ; attempt++ {
 		home := req.home
 		homeHealthy := r.workers[home].healthy()
-		if homeHealthy && r.trySend(home, req, false, weight) {
+		if homeHealthy && r.trySend(home, req, false) {
 			return nil
 		}
 		// Home full or out of service: divert to the least-loaded
 		// healthy worker.
-		if target := r.leastLoaded(home); target != home && r.trySend(target, req, true, weight) {
+		if target := r.leastLoaded(home); target != home && r.trySend(target, req, true) {
 			return nil
 		}
 		if !homeHealthy {
@@ -593,7 +605,7 @@ func (r *Runtime) enqueue(req lookupReq) error {
 					continue
 				}
 				anyHealthy = true
-				if r.trySend(i, req, true, weight) {
+				if r.trySend(i, req, true) {
 					return nil
 				}
 			}
@@ -605,7 +617,7 @@ func (r *Runtime) enqueue(req lookupReq) error {
 		now := time.Now()
 		if attempt == 0 {
 			deadline = now.Add(r.cfg.EnqueueTimeout)
-			r.m.overflowBlocked.Add(weight)
+			r.m.overflowBlocked.Add(int64(len(req.batch)))
 		} else {
 			r.m.enqueueRetries.Add(1)
 		}
@@ -625,12 +637,12 @@ func (r *Runtime) enqueue(req lookupReq) error {
 // sends sample the target's queue depth (1 in queueSampleMask+1) into
 // the queue-depth histogram — the enqueue-time congestion signal the
 // divert decision itself acts on.
-func (r *Runtime) trySend(target int, req lookupReq, diverted bool, weight int64) bool {
+func (r *Runtime) trySend(target int, req lookupReq, diverted bool) bool {
 	req.diverted = diverted
 	select {
 	case r.workers[target].queue <- req:
 		if diverted {
-			r.m.diverted.Add(weight)
+			r.m.diverted.Add(int64(len(req.batch)))
 		}
 		if r.m.queueTick.Add(1)&queueSampleMask == 0 {
 			r.m.queueDepth.record(target, int64(len(r.workers[target].queue)))
@@ -1193,9 +1205,3 @@ func (r *Runtime) Stats() Stats {
 	}
 	return st
 }
-
-// donePool recycles reply channels across dispatches.
-var donePool = sync.Pool{New: func() any { return make(chan Result, 1) }}
-
-func getDone() chan Result  { return donePool.Get().(chan Result) }
-func putDone(c chan Result) { donePool.Put(c) }

@@ -27,7 +27,6 @@ package serve
 import (
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"clue/internal/ip"
@@ -368,156 +367,20 @@ func (s *Snapshot) LookupBinary(addr ip.Addr) (ip.NextHop, ip.Prefix, bool) {
 	return ip.NoRoute, ip.Prefix{}, false
 }
 
-// batchSortMin is the batch size at which LookupBatch bucket-sorts the
-// keys by top-16 stride and probes in the staged multi-pass layout.
-// Sorting only pays once the batch is big enough that neighboring keys
-// actually share index and slab cache lines: at typical batch sizes a
-// few hundred keys scatter across tens of thousands of /16 buckets, so
-// the two radix passes and the scratch traffic cost more than the
-// misses they avoid, and the plain per-key probe — whose short
-// iterations the out-of-order engine already overlaps — wins.
-const batchSortMin = 1024
-
-// lookupSortScratch holds LookupBatch's radix-sort buffers, pooled
-// across calls so the batch path stays allocation-free.
-type lookupSortScratch struct {
-	a, b []uint64
-}
-
-var lookupSortPool = sync.Pool{New: func() any { return new(lookupSortScratch) }}
-
-// leafSubs backs the branchless pass-2 sub-array read for snapshots with
-// no promoted buckets at all: leaf keys read block 0 and mask the value
-// away, so any 256-entry block serves.
-var leafSubs [subEntries]uint16
-
-// radixPass distributes src into dst by the byte at shift, stable.
-func radixPass(src, dst []uint64, shift uint) {
-	var cnt [256]int32
-	for _, v := range src {
-		cnt[v>>shift&0xff]++
-	}
-	off := int32(0)
-	for i := range cnt {
-		c := cnt[i]
-		cnt[i] = off
-		off += c
-	}
-	for _, v := range src {
-		j := v >> shift & 0xff
-		dst[cnt[j]] = v
-		cnt[j]++
-	}
-}
-
 // LookupBatch resolves addrs against this one snapshot, amortizing the
-// snapshot load across the batch. Results are written into out (reused
-// when its capacity suffices) and returned in input order. Batches of
-// batchSortMin or more addresses are first bucket-sorted by their
-// top-16 stride (two LSD radix passes over packed addr|position keys),
-// so the probes walk the index and the route slab in address order —
-// neighboring lookups share cache lines instead of striding randomly
-// across the table — and the answers scatter back through the carried
-// positions.
+// snapshot load across the batch: one Lookup per address. Results are
+// written into out (reused when its capacity suffices) and returned in
+// input order.
 func (s *Snapshot) LookupBatch(addrs []ip.Addr, out []LookupResult) []LookupResult {
 	if cap(out) < len(addrs) {
 		out = make([]LookupResult, len(addrs))
 	} else {
 		out = out[:len(addrs)]
 	}
-	if len(addrs) < batchSortMin || s.index.empty() {
-		for i, a := range addrs {
-			hop, pfx, ok := s.Lookup(a)
-			out[i] = LookupResult{Hop: hop, Prefix: pfx, Found: ok}
-		}
-		return out
-	}
-	sc := lookupSortPool.Get().(*lookupSortScratch)
-	n := len(addrs)
-	if cap(sc.a) < n {
-		sc.a = make([]uint64, n)
-		sc.b = make([]uint64, n)
-	}
-	ka, kb := sc.a[:n], sc.b[:n]
 	for i, a := range addrs {
-		ka[i] = uint64(a)<<32 | uint64(uint32(i))
+		hop, pfx, ok := s.Lookup(a)
+		out[i] = LookupResult{Hop: hop, Prefix: pfx, Found: ok}
 	}
-	radixPass(ka, kb, 32+strideShift)         // addr bits 16-23: low stride byte
-	radixPass(kb, ka, 32+strideShift+subBits) // addr bits 24-31: high stride byte
-
-	// The sorted probe runs in three passes rather than one Lookup call
-	// per key, keeping each pass's accesses in sorted order so big
-	// batches sweep the index and slabs monotonically.
-
-	// Pass 1: first-level entries. kb[i] receives l1[stride(i)].
-	l1 := s.index.l1
-	for i, v := range ka {
-		kb[i] = l1[v>>(32+strideShift)]
-	}
-	// Pass 2: resolve each key's candidate window [lo, hi) — through the
-	// /24 sub-array for hot buckets — and pack it back into kb. The
-	// hot/leaf choice is a data-dependent coin flip across keys, so it is
-	// computed with masks instead of a branch: leaf keys read the dummy
-	// block (off = 0) and mask the value away, sparing a mispredict per
-	// key. Only the j == 255 wrap (1/256 of keys) stays a branch.
-	subs := s.index.subs
-	if len(subs) == 0 {
-		subs = leafSubs[:]
-	}
-	for i, v := range ka {
-		e := kb[i]
-		a := uint32(v >> 32)
-		b := a >> strideShift
-		cut := l1Cut(e)
-		nxt := l1Cut(l1[b+1])
-		r := e >> 32
-		hot := (r | (0 - r)) >> 63   // 1 when promoted
-		m := uint32(0) - uint32(hot) // all-ones when promoted
-		off := (r - hot) << subBits  // (ref-1)*256, or 0 for leaf keys
-		j := uint64(a>>subShift) & (subEntries - 1)
-		lo := cut + m&uint32(subs[off+j]) // rel offsets: leaf keys add 0
-		var hi uint32
-		if j == subEntries-1 {
-			hi = nxt
-		} else {
-			hi = m&(cut+uint32(subs[off+j+1])) | ^m&nxt
-		}
-		kb[i] = uint64(hi)<<32 | uint64(lo)
-	}
-	// Pass 3: probe the route slab and scatter answers to input order.
-	// Disjointness makes the probe branch-free: at most one route in the
-	// whole table covers a given address, so scanning a fixed window of
-	// strideScanMax entries around [lo, hi) cannot produce a false match
-	// — entries outside the true window fail the cover test by
-	// construction. The fixed trip count and mask-accumulated match
-	// replace the early-exit scan whose exit position mispredicted on
-	// almost every key.
-	rng := s.rng
-	nr := len(rng)
-	for i, v := range ka {
-		w := kb[i]
-		lo, hi := int(uint32(w)), int(uint32(w>>32))
-		if hi < nr {
-			hi++ // spanning-route guard, as in Lookup
-		}
-		a := uint32(v >> 32)
-		res := LookupResult{}
-		if hi-lo <= strideScanMax {
-			for k := hi - 1; k >= lo; k-- {
-				e := rng[k]
-				if rngFirst(e) <= a {
-					if rngLast(e) >= a {
-						res.Hop, res.Prefix, res.Found = s.route(k, e)
-					}
-					break
-				}
-			}
-		} else {
-			res.Hop, res.Prefix, res.Found = s.Lookup(ip.Addr(a))
-		}
-		out[uint32(v)] = res
-	}
-	lookupSortPool.Put(sc)
 	return out
 }
 

@@ -263,8 +263,9 @@ func TestStrideIndexPatchMatchesRebuild(t *testing.T) {
 }
 
 // TestSnapshotLookupZeroAllocs is the allocation contract of the lookup
-// fast path: the indexed snapshot probe and the runtime's RCU read side
-// must not allocate.
+// fast path: the indexed snapshot probe, a snapshot batch into a reused
+// out, the runtime's RCU read side and a worker Dispatch (its pooled
+// one-address group) must not allocate.
 func TestSnapshotLookupZeroAllocs(t *testing.T) {
 	fib, routes := testRoutes(t, 5000, 43)
 	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
@@ -289,6 +290,16 @@ func TestSnapshotLookupZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Snapshot.LookupBinary allocates %.1f per op", n)
 	}
+	batch := make([]ip.Addr, 4096)
+	for j := range batch {
+		batch[j] = ip.Addr(rng.Uint32())
+	}
+	out := make([]LookupResult, len(batch))
+	if n := testing.AllocsPerRun(20, func() {
+		out = snap.LookupBatch(batch, out)
+	}); n != 0 {
+		t.Fatalf("Snapshot.LookupBatch of %d allocates %.1f per call", len(batch), n)
+	}
 	rt, err := New(routes, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -299,6 +310,14 @@ func TestSnapshotLookupZeroAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("Runtime.Lookup allocates %.1f per op", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		if _, err := rt.Dispatch(addrs[i&1023]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("Runtime.Dispatch allocates %.1f per op", n)
 	}
 }
 
@@ -344,27 +363,31 @@ func TestSnapshotTinyTableCutPoints(t *testing.T) {
 	}
 }
 
+// TestSnapshotLookupBatchMatchesSingle holds LookupBatch to Lookup on a
+// small and a large batch, and checks that it reuses the caller's out.
 func TestSnapshotLookupBatchMatchesSingle(t *testing.T) {
 	fib, _ := testRoutes(t, 4000, 44)
 	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
 	rng := rand.New(rand.NewSource(44))
-	addrs := make([]ip.Addr, 777)
-	for i := range addrs {
-		addrs[i] = ip.Addr(rng.Uint32())
-	}
-	out := snap.LookupBatch(addrs, nil)
-	if len(out) != len(addrs) {
-		t.Fatalf("batch returned %d results for %d addrs", len(out), len(addrs))
-	}
-	for i, a := range addrs {
-		hop, pfx, ok := snap.Lookup(a)
-		if out[i].Found != ok || out[i].Hop != hop || out[i].Prefix != pfx {
-			t.Fatalf("batch[%d] (%s) = %+v, single = %d,%s,%v", i, a, out[i], hop, pfx, ok)
+	for _, n := range []int{777, 4096} {
+		addrs := make([]ip.Addr, n)
+		for i := range addrs {
+			addrs[i] = ip.Addr(rng.Uint32())
 		}
-	}
-	// Reuse keeps the caller's slice.
-	again := snap.LookupBatch(addrs[:100], out)
-	if &again[0] != &out[0] || len(again) != 100 {
-		t.Fatal("LookupBatch did not reuse the output slice")
+		out := snap.LookupBatch(addrs, nil)
+		if len(out) != len(addrs) {
+			t.Fatalf("batch returned %d results for %d addrs", len(out), len(addrs))
+		}
+		for i, a := range addrs {
+			hop, pfx, ok := snap.Lookup(a)
+			if out[i].Found != ok || out[i].Hop != hop || out[i].Prefix != pfx {
+				t.Fatalf("batch of %d [%d] (%s) = %+v, single = %d,%s,%v", n, i, a, out[i], hop, pfx, ok)
+			}
+		}
+		// Reuse keeps the caller's slice.
+		again := snap.LookupBatch(addrs[:100], out)
+		if &again[0] != &out[0] || len(again) != 100 {
+			t.Fatal("LookupBatch did not reuse the output slice")
+		}
 	}
 }

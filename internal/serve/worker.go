@@ -25,19 +25,17 @@ type Result struct {
 	Version uint64
 }
 
-// lookupReq travels down a worker queue; done is a 1-buffered reply
-// channel owned by the dispatcher.
+// lookupReq travels down a worker queue. It is always a home-partition
+// group of addresses — a Dispatch is a group of one — which the worker
+// serves against one snapshot load, writing the answers into out (same
+// length as batch) before signalling done. done is a 1-buffered
+// completion channel owned by the dispatcher.
 type lookupReq struct {
-	addr     ip.Addr
 	home     int
 	diverted bool
-	done     chan Result
-	// batch, when non-nil, carries a whole home-partition group of
-	// addresses: the worker serves all of them against one snapshot load,
-	// writes the answers into out (same length as batch) and sends a
-	// single completion sentinel on done.
-	batch []ip.Addr
-	out   []Result
+	batch    []ip.Addr
+	out      []Result
+	done     chan struct{}
 	// stall, when non-nil, makes the worker block until the channel is
 	// closed instead of serving — tests use it to hold a queue full and
 	// exercise the divert path deterministically.
@@ -109,15 +107,9 @@ func (w *worker) handle(req lookupReq) {
 	if req.poison {
 		panic(fmt.Sprintf("serve: worker %d poisoned", w.id))
 	}
-	if req.batch != nil {
-		w.serveBatch(req)
-		w.pace(len(req.batch))
-		req.done <- Result{}
-		return
-	}
-	res := w.serve(req)
-	w.pace(1)
-	req.done <- res
+	w.serveBatch(req)
+	w.pace(len(req.batch))
+	req.done <- struct{}{}
 }
 
 // pace holds the worker for ServicePace per address served, emulating a
@@ -132,36 +124,19 @@ func (w *worker) pace(n int) {
 }
 
 // answerAfterPanic completes a request whose handler panicked before the
-// done send (the only panic windows — serve, serveBatch, poison). The
-// dispatcher is still waiting, so the answer is computed from the bare
+// done send (the only panic windows — serveBatch and poison). The
+// dispatcher is still waiting, so the answers are computed from the bare
 // snapshot without touching the traffic sketch or the served counter.
-// serveBatch counts a batch before probing it, so a batch that panicked
-// there is already counted; a single or poisoned request stays uncounted.
+// serveBatch counts a group before probing it, so a group that panicked
+// there is already counted; a poisoned request stays uncounted.
 func (w *worker) answerAfterPanic(req lookupReq) {
 	if req.done == nil {
 		return
 	}
 	slot := w.rt.ep.enter(uint64(w.id))
 	defer slot.exit()
-	snap := w.rt.snap.Load()
-	if req.batch != nil {
-		w.fillBatch(snap, req)
-		req.done <- Result{}
-		return
-	}
-	hop, pfx, ok := snap.Lookup(req.addr)
-	req.done <- Result{Hop: hop, Prefix: pfx, Found: ok, Home: req.home, Worker: w.id, Diverted: req.diverted, Version: snap.Version}
-}
-
-// serve answers one request against the current snapshot. The epoch pin
-// spans the whole request: the snapshot's arena cannot be recycled while
-// this worker still probes it.
-func (w *worker) serve(req lookupReq) Result {
-	slot := w.rt.ep.enter(uint64(w.id))
-	defer slot.exit()
-	snap := w.rt.snap.Load()
-	w.served.Add(1)
-	return w.answer(snap, req.addr, req.home, req.diverted)
+	w.fillBatch(w.rt.snap.Load(), req)
+	req.done <- struct{}{}
 }
 
 // serveBatch answers a whole home-partition group against one snapshot
@@ -177,7 +152,7 @@ func (w *worker) serve(req lookupReq) Result {
 // (one core of a 2-vCPU x86 VM, 1 M routes, 8 192 cold addresses:
 // 133–184 ns/addr with the probes alone, 172–245 with the add inline).
 // The separate pass walks the same skTick sequence, so it records
-// exactly the samples the per-address path would.
+// exactly the samples an inline per-address counter would.
 func (w *worker) serveBatch(req lookupReq) {
 	slot := w.rt.ep.enter(uint64(w.id))
 	defer slot.exit()
@@ -188,7 +163,8 @@ func (w *worker) serveBatch(req lookupReq) {
 }
 
 // sampleBatch records every sketchSamplePeriod-th address of batch in
-// the traffic sketch, continuing the skTick sequence answer advances.
+// the traffic sketch, continuing the worker's skTick sequence across
+// groups.
 func (w *worker) sampleBatch(batch []ip.Addr) {
 	// The first sampled index is the one that brings skTick+1+i to a
 	// multiple of the period: -(skTick+1) mod period, i.e. ^skTick.
@@ -208,19 +184,6 @@ func (w *worker) fillBatch(snap *Snapshot, req lookupReq) {
 		hop, pfx, ok := snap.Lookup(a)
 		out[i] = Result{Hop: hop, Prefix: pfx, Found: ok, Home: req.home, Worker: w.id, Diverted: req.diverted, Version: snap.Version}
 	}
-}
-
-// answer resolves one address against snap and records the sampled
-// traffic sketch — the single-address serve path; batches go through
-// sampleBatch and fillBatch.
-func (w *worker) answer(snap *Snapshot, addr ip.Addr, home int, diverted bool) Result {
-	w.skTick++
-	if w.skTick&(sketchSamplePeriod-1) == 0 {
-		w.sketch[uint32(addr)>>sketchShift].Add(1)
-	}
-	res := Result{Home: home, Worker: w.id, Diverted: diverted, Version: snap.Version}
-	res.Hop, res.Prefix, res.Found = snap.Lookup(addr)
-	return res
 }
 
 // resetSketch zeroes the traffic sketch. The writer calls it on every
