@@ -325,20 +325,16 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 	mux.HandleFunc("POST /lookup/batch", func(w http.ResponseWriter, r *http.Request) {
 		sc := scratchPool.Get().(*batchScratch)
 		defer scratchPool.Put(sc)
-		var req struct {
-			Addrs []batchAddr `json:"addrs"`
-			Path  string      `json:"path"`
-		}
-		req.Addrs = sc.req[:0] // decoding appends, reusing the capacity
-		if !decodeBody(w, r, 1<<20, &req) {
+		var ok bool
+		if sc.body, ok = readBody(w, r, 1<<20, sc.body[:0]); !ok {
 			return
 		}
-		sc.req = req.Addrs
-		addrs := sc.addrs[:0]
-		for _, a := range req.Addrs {
-			addrs = append(addrs, ip.Addr(a))
-		}
+		addrs, snapshot, err := decodeBatch(sc.body, sc.addrs)
 		sc.addrs = addrs
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		if len(addrs) == 0 {
 			httpError(w, http.StatusBadRequest, errors.New("addrs must be a non-empty array"))
 			return
@@ -347,12 +343,11 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 			httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d addrs exceeds limit %d", len(addrs), maxBatchAddrs))
 			return
 		}
-		if req.Path == "snapshot" {
+		if snapshot {
 			var version uint64
 			sc.lres, version = rt.LookupBatch(addrs, sc.lres)
 			sc.buf = appendBatchSnapshot(sc.buf[:0], addrs, sc.lres, version)
 		} else {
-			var err error
 			sc.dres, err = rt.DispatchBatch(addrs, sc.dres)
 			if err != nil {
 				httpError(w, http.StatusServiceUnavailable, err)
@@ -596,23 +591,6 @@ func writeFeedPrometheus(w io.Writer, s feed.FollowerStats) {
 	emit("clue_feed_records_total", "counter", "Update records applied from the feed.", float64(s.Records))
 	emit("clue_feed_hash_checks_total", "counter", "Canonical-table hash frames verified.", float64(s.HashChecks))
 	emit("clue_feed_hash_mismatches_total", "counter", "Hash frames that did not match (each forces a re-sync).", float64(s.HashMismatches))
-}
-
-// decodeBody decodes the JSON request body into v, reading at most
-// limit bytes. On failure it writes the error reply — 413 when the body
-// is over the limit, 400 otherwise — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
-	}
-	status := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	httpError(w, status, err)
-	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -23,35 +20,14 @@ import (
 // batchScratch is the per-request working set of the batch handler,
 // pooled so a steady request stream allocates none of it.
 type batchScratch struct {
+	body  []byte
 	buf   []byte
-	req   []batchAddr
 	addrs []ip.Addr
 	dres  []serve.Result
 	lres  []serve.LookupResult
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// batchAddr is one element of a batch request's "addrs". It accepts
-// only a JSON string holding a dotted quad. For a plain ip.Addr,
-// encoding/json skips a null element and leaves it as it was, which in
-// the pooled slice is an address from an earlier request.
-type batchAddr ip.Addr
-
-func (a *batchAddr) UnmarshalJSON(b []byte) error {
-	if len(b) < 2 || b[0] != '"' {
-		return errors.New("addrs: every element must be a string")
-	}
-	s := b[1 : len(b)-1]
-	if bytes.IndexByte(s, '\\') >= 0 { // escaped: let encoding/json unquote it
-		var str string
-		if err := json.Unmarshal(b, &str); err != nil {
-			return err
-		}
-		s = []byte(str)
-	}
-	return (*ip.Addr)(a).UnmarshalText(s)
-}
 
 // writeReply sends b as a JSON reply.
 func writeReply(w http.ResponseWriter, b []byte) {
