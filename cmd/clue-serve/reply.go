@@ -29,9 +29,13 @@ type batchScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// writeReply sends b as a JSON reply.
+// writeReply sends b as a JSON reply. The length is known, so it is
+// declared: a batch reply outgrows net/http's buffer, which would
+// otherwise send it chunked.
 func writeReply(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.Write(b)
 }
 

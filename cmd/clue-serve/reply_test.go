@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -161,8 +162,8 @@ func batchBody(n int, path string) (string, []ip.Addr) {
 // POST /lookup/batch through the handler, request and recorder
 // included: a constant, not one or more per address. The body is read
 // into the pooled scratch and parsed in place, so what is left is the
-// request, the recorder, the body limit and the reply headers: 20 on
-// either path. Under -race, sync.Pool drops a random share of what is
+// request, the recorder, the body limit and the reply headers: 22 on
+// either path, two of them the Content-Length value and its slice. Under -race, sync.Pool drops a random share of what is
 // put back, so the scratch is often rebuilt and only a looser bound
 // holds.
 func TestBatchHandlerAllocs(t *testing.T) {
@@ -217,6 +218,37 @@ func TestBatchHandlerReplyBytes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestBatchReplyContentLength sends a batch through a real listener: a
+// reply far larger than net/http's write buffer must arrive with its
+// length declared, not chunked, and with the same bytes.
+func TestBatchReplyContentLength(t *testing.T) {
+	rt := newTestRuntime(t, 2)
+	defer rt.Close()
+	srv := httptest.NewServer(newHandler(rt, false, nil))
+	defer srv.Close()
+	body, addrs := batchBody(1024, "snapshot")
+	results, version := rt.LookupBatch(addrs, nil)
+	want := refBatchSnapshot(t, addrs, results, version)
+	resp, err := srv.Client().Post(srv.URL+"/lookup/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %q for a %d-byte body", resp.ContentLength, resp.TransferEncoding, len(got))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reply bytes changed in transit:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestBatchAddrsMustBeStrings pins that every element of "addrs" is a

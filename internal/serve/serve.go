@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -447,6 +448,7 @@ type batchScratch struct {
 	perm    []int32
 	res     []Result
 	dones   []chan struct{}
+	inline  []int32
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -459,6 +461,7 @@ func (sc *batchScratch) size(workers, n int) {
 		for i := range sc.dones {
 			sc.dones[i] = make(chan struct{}, 1)
 		}
+		sc.inline = make([]int32, 0, workers)
 	}
 	sc.counts = sc.counts[:workers]
 	sc.offs = sc.offs[:workers]
@@ -483,6 +486,15 @@ func (sc *batchScratch) size(workers, n int) {
 // Groups whose home queue is full divert whole to the least-loaded
 // worker. Results are written into out (reused when its capacity
 // suffices).
+//
+// Only contention takes the hop: when workers are unpaced, a group whose
+// home worker is healthy with an empty queue is served on the calling
+// goroutine, through the worker's own handler — same epoch pin, served
+// count, sketch samples and provenance (Worker == Home, not Diverted).
+// Handing it to an idle worker would buy no parallelism the caller
+// lacks and cost two wake-ups. The other groups are enqueued first, so
+// their workers run beside the caller. A paced worker stands for a chip
+// with a fixed service rate, so with ServicePace set every group queues.
 func (r *Runtime) DispatchBatch(addrs []ip.Addr, out []Result) ([]Result, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
@@ -526,25 +538,36 @@ func (r *Runtime) DispatchBatch(addrs []ip.Addr, out []Result) ([]Result, error)
 		sc.perm[j] = int32(i)
 		sc.offs[h] = j + 1
 	}
+	// group is home h's slice of the sorted batch; the scatter pass
+	// left sc.offs[h] at the group's end.
+	group := func(h int) lookupReq {
+		end, cnt := sc.offs[h], sc.counts[h]
+		return lookupReq{home: h, batch: sc.ordered[end-cnt : end], out: sc.res[end-cnt : end]}
+	}
+	unpaced := r.cfg.ServicePace == 0
+	sc.inline = sc.inline[:0]
 	pending := 0
 	var enqErr error
 	for h := 0; h < nw; h++ {
-		cnt := sc.counts[h]
-		if cnt == 0 {
+		if sc.counts[h] == 0 {
 			continue
 		}
-		end := sc.offs[h] // advanced to the group's end by the scatter pass
-		err := r.enqueue(lookupReq{
-			home:  h,
-			batch: sc.ordered[end-cnt : end],
-			out:   sc.res[end-cnt : end],
-			done:  sc.dones[pending],
-		})
-		if err != nil {
+		if w := r.workers[h]; unpaced && w.healthy() && len(w.queue) == 0 {
+			sc.inline = append(sc.inline, int32(h))
+			continue
+		}
+		req := group(h)
+		req.done = sc.dones[pending]
+		if err := r.enqueue(req); err != nil {
 			enqErr = err // this group never enqueued; its channel is clean
 			break
 		}
 		pending++
+	}
+	if enqErr == nil {
+		for _, h := range sc.inline {
+			r.workers[h].handle(group(int(h)))
+		}
 	}
 	// Drain every enqueued group even when a later group failed:
 	// returning the scratch to the pool with a send still pending would
@@ -563,6 +586,12 @@ func (r *Runtime) DispatchBatch(addrs []ip.Addr, out []Result) ([]Result, error)
 	}
 	batchPool.Put(sc)
 	r.m.dispatchBatchLat.record(0, time.Since(start).Nanoseconds())
+	if pending == 0 {
+		// Parking on a done channel was this call's scheduling point. A
+		// closed-loop caller served wholly inline would otherwise hold
+		// its P, and the netpoller and other goroutines would run late.
+		runtime.Gosched()
+	}
 	return out, nil
 }
 

@@ -62,9 +62,11 @@ type worker struct {
 	// The worker goroutine only ever adds; the counters are atomic so the
 	// drain needs no coordination with the serve path.
 	sketch []atomic.Uint64
-	// skTick drives the 1-in-sketchSamplePeriod recording sample;
-	// worker-goroutine-owned, no atomics needed.
-	skTick uint64
+	// skTick drives the 1-in-sketchSamplePeriod recording sample. It is
+	// atomic because the worker goroutine is not its only advancer: a
+	// DispatchBatch caller serving an idle worker's group inline draws
+	// its tick range here too (see sampleBatch).
+	skTick atomic.Uint64
 }
 
 func newWorker(id int, rt *Runtime) *worker {
@@ -89,10 +91,12 @@ func (w *worker) run() {
 	}
 }
 
-// handle serves one queued request, surviving panics: a panicking
-// handler marks the worker failed (which re-homes its range) and still
-// answers the request straight off the snapshot so the dispatcher never
-// hangs on the done channel.
+// handle serves one request, surviving panics: a panicking handler
+// marks the worker failed (which re-homes its range) and still answers
+// the request straight off the snapshot so the dispatcher never hangs
+// on the done channel. A request without a done channel is a group
+// DispatchBatch serves inline on its own goroutine, only ever unpaced
+// (see Runtime.DispatchBatch): the same path, minus the signal.
 func (w *worker) handle(req lookupReq) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -109,7 +113,9 @@ func (w *worker) handle(req lookupReq) {
 	}
 	w.serveBatch(req)
 	w.pace(len(req.batch))
-	req.done <- struct{}{}
+	if req.done != nil {
+		req.done <- struct{}{}
+	}
 }
 
 // pace holds the worker for ServicePace per address served, emulating a
@@ -130,13 +136,12 @@ func (w *worker) pace(n int) {
 // serveBatch counts a group before probing it, so a group that panicked
 // there is already counted; a poisoned request stays uncounted.
 func (w *worker) answerAfterPanic(req lookupReq) {
-	if req.done == nil {
-		return
-	}
 	slot := w.rt.ep.enter(uint64(w.id))
-	defer slot.exit()
 	w.fillBatch(w.rt.snap.Load(), req)
-	req.done <- struct{}{}
+	slot.exit()
+	if req.done != nil {
+		req.done <- struct{}{}
+	}
 }
 
 // serveBatch answers a whole home-partition group against one snapshot
@@ -153,6 +158,10 @@ func (w *worker) answerAfterPanic(req lookupReq) {
 // 133–184 ns/addr with the probes alone, 172–245 with the add inline).
 // The separate pass walks the same skTick sequence, so it records
 // exactly the samples an inline per-address counter would.
+//
+// serveBatch runs on the worker goroutine and, for a group served
+// inline, on the DispatchBatch caller's: several at once for one worker.
+// Everything it shares across calls is atomic.
 func (w *worker) serveBatch(req lookupReq) {
 	slot := w.rt.ep.enter(uint64(w.id))
 	defer slot.exit()
@@ -164,14 +173,17 @@ func (w *worker) serveBatch(req lookupReq) {
 
 // sampleBatch records every sketchSamplePeriod-th address of batch in
 // the traffic sketch, continuing the worker's skTick sequence across
-// groups.
+// groups. One Add claims the group's tick range, so concurrent groups
+// draw disjoint ranges and together record exactly the samples one
+// goroutine serving them in some order would: one per period of ticks.
 func (w *worker) sampleBatch(batch []ip.Addr) {
-	// The first sampled index is the one that brings skTick+1+i to a
-	// multiple of the period: -(skTick+1) mod period, i.e. ^skTick.
-	for i := int(^w.skTick & (sketchSamplePeriod - 1)); i < len(batch); i += sketchSamplePeriod {
+	n := uint64(len(batch))
+	tick := w.skTick.Add(n) - n
+	// The first sampled index is the one that brings tick+1+i to a
+	// multiple of the period: -(tick+1) mod period, i.e. ^tick.
+	for i := int(^tick & (sketchSamplePeriod - 1)); i < len(batch); i += sketchSamplePeriod {
 		w.sketch[uint32(batch[i])>>sketchShift].Add(1)
 	}
-	w.skTick += uint64(len(batch))
 }
 
 // fillBatch answers req's group from snap into req.out: a bare probe
