@@ -7,10 +7,9 @@
 // Usage:
 //
 //	clue-serve [-addr 127.0.0.1:8080] [-fib table.rib | -router rrc01 | -routes 20000]
-//	           [-workers 4] [-queue 256] [-batch 64]
+//	           [-workers 4] [-queue 256]
 //	           [-router-scale 10] [-seed 42]
-//	           [-rebalance-interval 0] [-rebalance-threshold 1.25]
-//	           [-rebalance-max-move 0.25]
+//	           [-rebalance-interval 0] [-rebalance-max-move 0.25]
 //	clue-serve -follow 127.0.0.1:9090 [-addr ...] [-workers ...] ...
 //
 // With -follow the server runs as a read-only replica: instead of
@@ -38,9 +37,8 @@
 //	     worker is healthy; the snapshot path still answers then)
 //	GET  /debug/latency — latency/queue-depth histogram summaries
 //	     (p50/p90/p99/max plus sparse power-of-two buckets) as JSON
-//	GET  /debug/pprof/* — the standard net/http/pprof profiling surface
-//	GET  /debug/trace?sec=N — capture a runtime/trace for N seconds
-//	     (max 60) and stream it; enabled with -debug-trace
+//	GET  /debug/pprof/* — the standard net/http/pprof profiling surface,
+//	     including /debug/pprof/trace?seconds=N for a runtime/trace
 //	POST /admin/worker/fail {"worker":N} — take worker N out of service
 //	     and re-home its range across the survivors
 //	POST /admin/worker/recover {"worker":N} — return worker N to service
@@ -64,8 +62,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime/trace"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -98,11 +94,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 	seed := fs.Int64("seed", 42, "synthetic FIB seed")
 	workers := fs.Int("workers", 0, "partition worker goroutines (0 = default 4)")
 	queue := fs.Int("queue", 256, "per-worker queue depth")
-	batch := fs.Int("batch", 64, "max update ops per snapshot swap")
-	debugTrace := fs.Bool("debug-trace", false, "enable the /debug/trace runtime-trace capture endpoint")
 	follow := fs.String("follow", "", "run as a read-only replica of the clue-collector feed at this address")
 	rebInterval := fs.Duration("rebalance-interval", 0, "load-aware repartitioning pass interval (0 disables the loop; /admin/rebalance still works)")
-	rebThreshold := fs.Float64("rebalance-threshold", 0, "imbalance ratio (max partition traffic / mean) that triggers a recut (0 = default 1.25)")
 	rebMaxMove := fs.Float64("rebalance-max-move", 0, "max fraction of routes re-homed per recut (0 = default 0.25)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -111,11 +104,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 	scfg := serve.Config{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		BatchMax:   *batch,
 		Rebalance: serve.RebalanceConfig{
-			Interval:           *rebInterval,
-			ImbalanceThreshold: *rebThreshold,
-			MaxMoveFraction:    *rebMaxMove,
+			Interval:        *rebInterval,
+			MaxMoveFraction: *rebMaxMove,
 		},
 	}
 	var (
@@ -170,7 +161,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		ready(ln.Addr())
 	}
 
-	srv := &http.Server{Handler: newHandler(rt, *debugTrace, fl)}
+	srv := &http.Server{Handler: newHandler(rt, fl)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
@@ -270,12 +261,10 @@ func followFeed(ctx context.Context, addr string, scfg serve.Config) (*serve.Run
 // maxBatchAddrs bounds one /lookup/batch request.
 const maxBatchAddrs = 8192
 
-// newHandler wires the HTTP surface around the runtime. traceCapture
-// enables the /debug/trace capture endpoint (the -debug-trace flag);
-// the rest of the debug surface is always on. fl is non-nil in replica
-// mode (-follow): local mutations are rejected and the stats, metrics
-// and health surfaces grow the replication feed's state.
-func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Handler {
+// newHandler wires the HTTP surface around the runtime. fl is non-nil
+// in replica mode (-follow): local mutations are rejected and the
+// stats, metrics and health surfaces grow the replication feed's state.
+func newHandler(rt *serve.Runtime, fl *feed.Follower) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /lookup", func(w http.ResponseWriter, r *http.Request) {
 		a, err := ip.ParseAddr(r.URL.Query().Get("addr"))
@@ -519,36 +508,6 @@ func newHandler(rt *serve.Runtime, traceCapture bool, fl *feed.Follower) http.Ha
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		if !traceCapture {
-			httpError(w, http.StatusNotFound, errors.New("trace capture disabled (start with -debug-trace)"))
-			return
-		}
-		sec := 5
-		if q := r.URL.Query().Get("sec"); q != "" {
-			n, err := strconv.Atoi(q)
-			if err != nil || n < 1 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("sec must be a positive integer, got %q", q))
-				return
-			}
-			sec = n
-		}
-		if sec > 60 {
-			sec = 60
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", `attachment; filename="trace.out"`)
-		if err := trace.Start(w); err != nil {
-			// A concurrent capture (here or via /debug/pprof/trace) holds
-			// the tracer; headers are already sent, so just stop.
-			return
-		}
-		select {
-		case <-r.Context().Done():
-		case <-time.After(time.Duration(sec) * time.Second):
-		}
-		trace.Stop()
-	})
 
 	mux.HandleFunc("POST /admin/worker/fail", adminWorker("fail", rt.FailWorker))
 	mux.HandleFunc("POST /admin/worker/recover", adminWorker("recover", rt.RecoverWorker))

@@ -369,7 +369,7 @@ func newTestRuntime(t *testing.T, workers int) *serve.Runtime {
 		t.Fatal(err)
 	}
 	rt, err := serve.New(fib.Routes(), serve.Config{
-		Workers: workers, QueueDepth: 64, BatchMax: 16,
+		Workers: workers, QueueDepth: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func adminStates(res map[string]any) []string {
 func TestAdminWorkerEndpoints(t *testing.T) {
 	rt := newTestRuntime(t, 3)
 	defer rt.Close()
-	srv := httptest.NewServer(newHandler(rt, true, nil))
+	srv := httptest.NewServer(newHandler(rt, nil))
 	defer srv.Close()
 
 	status, res := doReq(t, "GET", srv.URL+"/admin/worker", "")
@@ -490,7 +490,7 @@ func TestAdminWorkerEndpoints(t *testing.T) {
 func TestHealthzNoHealthyWorkers(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
-	srv := httptest.NewServer(newHandler(rt, true, nil))
+	srv := httptest.NewServer(newHandler(rt, nil))
 	defer srv.Close()
 
 	for id := 0; id < 2; id++ {
@@ -542,7 +542,7 @@ func TestHealthzNoHealthyWorkers(t *testing.T) {
 // the runtime is closed, while the snapshot read side still answers.
 func TestEndpointsAfterClose(t *testing.T) {
 	rt := newTestRuntime(t, 2)
-	srv := httptest.NewServer(newHandler(rt, true, nil))
+	srv := httptest.NewServer(newHandler(rt, nil))
 	defer srv.Close()
 	rt.Close()
 
@@ -603,12 +603,12 @@ func TestSIGTERMShutdown(t *testing.T) {
 }
 
 // TestDebugEndpoints covers the observability surface: the latency JSON
-// view, the pprof index, and the runtime/trace capture with its
-// -debug-trace gate and sec-parameter validation.
+// view, the pprof index, and a runtime/trace capture through
+// /debug/pprof/trace.
 func TestDebugEndpoints(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
-	srv := httptest.NewServer(newHandler(rt, true, nil))
+	srv := httptest.NewServer(newHandler(rt, nil))
 	defer srv.Close()
 
 	status, res := doReq(t, "GET", srv.URL+"/debug/latency", "")
@@ -638,7 +638,8 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("pprof index: %s %q", presp.Status, pbody.String())
 	}
 
-	tresp, err := http.Get(srv.URL + "/debug/trace?sec=1")
+	// The runtime/trace capture: pprof's endpoint, always on.
+	tresp, err := http.Get(srv.URL + "/debug/pprof/trace?seconds=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,40 +649,8 @@ func TestDebugEndpoints(t *testing.T) {
 	if tresp.StatusCode != http.StatusOK || tbody.Len() == 0 {
 		t.Fatalf("trace capture: %s, %d bytes", tresp.Status, tbody.Len())
 	}
-
-	for _, sec := range []string{"bogus", "0", "-3"} {
-		status, res = doReq(t, "GET", srv.URL+"/debug/trace?sec="+sec, "")
-		if status != http.StatusBadRequest {
-			t.Errorf("trace sec=%s: got %d want 400 (%v)", sec, status, res)
-		}
-	}
-}
-
-// TestDebugTraceGated checks the capture endpoint 404s unless the server
-// was started with -debug-trace, while pprof and latency stay available.
-func TestDebugTraceGated(t *testing.T) {
-	rt := newTestRuntime(t, 2)
-	defer rt.Close()
-	srv := httptest.NewServer(newHandler(rt, false, nil))
-	defer srv.Close()
-
-	status, res := doReq(t, "GET", srv.URL+"/debug/trace", "")
-	if status != http.StatusNotFound {
-		t.Fatalf("trace without -debug-trace: got %d want 404 (%v)", status, res)
-	}
-	if msg, _ := res["error"].(string); !strings.Contains(msg, "trace capture disabled") {
-		t.Fatalf("gating error message: %v", res)
-	}
-	if status, _ := doReq(t, "GET", srv.URL+"/debug/latency", ""); status != http.StatusOK {
-		t.Fatalf("latency view gated by -debug-trace: %d", status)
-	}
-	presp, err := http.Get(srv.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusOK {
-		t.Fatalf("pprof gated by -debug-trace: %s", presp.Status)
+	if !bytes.HasPrefix(tbody.Bytes(), []byte("go 1.")) {
+		t.Fatalf("trace capture is not a runtime/trace stream: %q", tbody.Bytes()[:min(tbody.Len(), 16)])
 	}
 }
 
@@ -802,7 +771,7 @@ func TestSnapshotLookupVersionAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	h := newHandler(rt, false, nil)
+	h := newHandler(rt, nil)
 	base := rt.Version()
 	flip := ip.MustParsePrefix("10.0.0.0/8")
 

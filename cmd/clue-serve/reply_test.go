@@ -169,7 +169,7 @@ func batchBody(n int, path string) (string, []ip.Addr) {
 func TestBatchHandlerAllocs(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
-	h := newHandler(rt, false, nil)
+	h := newHandler(rt, nil)
 	limit := 24.0
 	if raceEnabled {
 		limit = 64
@@ -198,7 +198,7 @@ func TestBatchHandlerAllocs(t *testing.T) {
 func TestBatchHandlerReplyBytes(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
-	h := newHandler(rt, false, nil)
+	h := newHandler(rt, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		body, addrs := batchBody(64+g*97, "snapshot")
@@ -226,7 +226,7 @@ func TestBatchHandlerReplyBytes(t *testing.T) {
 func TestBatchReplyContentLength(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
-	srv := httptest.NewServer(newHandler(rt, false, nil))
+	srv := httptest.NewServer(newHandler(rt, nil))
 	defer srv.Close()
 	body, addrs := batchBody(1024, "snapshot")
 	results, version := rt.LookupBatch(addrs, nil)
@@ -259,7 +259,7 @@ func TestBatchReplyContentLength(t *testing.T) {
 func TestBatchAddrsMustBeStrings(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
-	h := newHandler(rt, false, nil)
+	h := newHandler(rt, nil)
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/lookup/batch", strings.NewReader(body)))

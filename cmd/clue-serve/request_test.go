@@ -43,7 +43,7 @@ func newBodyTest(t *testing.T) (*serve.Runtime, http.Handler) {
 	if err := rt.FailWorker(1); err != nil {
 		t.Fatal(err)
 	}
-	return rt, newHandler(rt, false, nil)
+	return rt, newHandler(rt, nil)
 }
 
 func post(h http.Handler, url, body string) *httptest.ResponseRecorder {

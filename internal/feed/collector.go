@@ -13,6 +13,10 @@ import (
 	"clue/internal/trie"
 )
 
+// helloTimeout bounds how long an accepted connection may take to
+// present its hello frame.
+const helloTimeout = 5 * time.Second
+
 // CollectorConfig configures a Collector.
 type CollectorConfig struct {
 	// BaseRoutes is the initial FIB. A restarted collector passes the
@@ -31,9 +35,6 @@ type CollectorConfig struct {
 	// batches (and after every snapshot). Default 16; negative
 	// disables periodic hashes.
 	HashEvery int
-	// HelloTimeout bounds how long an accepted connection may take to
-	// present its hello frame. Default 5s.
-	HelloTimeout time.Duration
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -44,9 +45,6 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 	}
 	if c.HashEvery == 0 {
 		c.HashEvery = 16
-	}
-	if c.HelloTimeout == 0 {
-		c.HelloTimeout = 5 * time.Second
 	}
 	return c
 }
@@ -310,7 +308,7 @@ func (c *Collector) logf(format string, args ...any) {
 // feeding snapshots/batches/hashes and a reader loop consuming acks.
 func (c *Collector) serveConn(nc net.Conn) {
 	defer nc.Close()
-	nc.SetReadDeadline(time.Now().Add(c.cfg.HelloTimeout))
+	nc.SetReadDeadline(time.Now().Add(helloTimeout))
 	f, err := ReadFrame(nc)
 	if err != nil {
 		c.logf("feed: %s: handshake read: %v", nc.RemoteAddr(), err)

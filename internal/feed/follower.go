@@ -35,9 +35,6 @@ type FollowerConfig struct {
 	// after a session that made progress.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// AckEvery acks after every N applied batches (default 1).
-	// Snapshots are always acked immediately.
-	AckEvery int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -48,9 +45,6 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	}
 	if c.BackoffMax == 0 {
 		c.BackoffMax = time.Second
-	}
-	if c.AckEvery == 0 {
-		c.AckEvery = 1
 	}
 	return c
 }
@@ -272,7 +266,6 @@ func (f *Follower) session(nc net.Conn) (progressed bool) {
 	}
 	f.setState("syncing")
 	resumeCandidate := hello.HasState
-	ackDue := 0
 	for {
 		fr, err := ReadFrame(nc)
 		if err != nil {
@@ -304,7 +297,6 @@ func (f *Follower) session(nc net.Conn) (progressed bool) {
 			if err := WriteFrame(nc, Frame{Type: FrameAck, Seq: fr.Seq}); err != nil {
 				return progressed
 			}
-			ackDue = 0
 		case FrameUpdates:
 			b, err := decodeBatch(fr.Payload)
 			if err != nil {
@@ -341,12 +333,8 @@ func (f *Follower) session(nc net.Conn) (progressed bool) {
 			f.mu.Unlock()
 			progressed = true
 			f.setState("streaming")
-			ackDue++
-			if ackDue >= f.cfg.AckEvery {
-				if err := WriteFrame(nc, Frame{Type: FrameAck, Seq: fr.Seq}); err != nil {
-					return progressed
-				}
-				ackDue = 0
+			if err := WriteFrame(nc, Frame{Type: FrameAck, Seq: fr.Seq}); err != nil {
+				return progressed
 			}
 		case FrameHash:
 			h, err := decodeHash(fr.Payload)

@@ -72,8 +72,8 @@ func alignedUint16(n int) []uint16 {
 }
 
 // newArena allocates an arena able to hold routeCap routes. Index slabs
-// are allocated lazily by ensureL1/ensureSubs, since small tables never
-// build an index.
+// are allocated by ensureL1/ensureSubs when the index is built, so a
+// recycled arena keeps the ones it already has.
 func newArena(routeCap int) *arena {
 	return &arena{
 		rng: alignedUint64(routeCap)[:0],

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"clue/internal/ip"
 )
@@ -24,12 +23,7 @@ func TestEnqueueFallbackReachesAnyHealthyWorker(t *testing.T) {
 		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
 		{Prefix: ip.MustParsePrefix("192.168.0.0/16"), NextHop: 2},
 	}
-	rt, err := New(routes, Config{
-		Workers:        3,
-		QueueDepth:     1,
-		EnqueueRetries: 2,
-		EnqueueTimeout: 40 * time.Millisecond,
-	})
+	rt, err := New(routes, Config{Workers: 3, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,15 @@ func FuzzSnapshotIndex(f *testing.F) {
 		10, 1, 1, 9, 32,
 		10, 1, 0, 0, 16,
 	})
+	// One route: the default route alone.
+	f.Add(int64(6), []byte{0, 0, 0, 0, 0})
+	// 255 non-adjacent /16s, one per first octet: a few hundred routes,
+	// each alone in its leaf bucket, with empty buckets between them.
+	var many []byte
+	for i := 0; i < 255; i++ {
+		many = append(many, byte(i), 1, 0, 0, 16)
+	}
+	f.Add(int64(7), many)
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		if len(raw) > 5*2048 {
 			raw = raw[:5*2048]
@@ -71,11 +80,6 @@ func FuzzSnapshotIndex(f *testing.F) {
 		table := onrtc.Compress(fib)
 		routes := table.Routes()
 		snap := newSnapshot(1, routes, 4)
-		if !snap.Indexed() && len(routes) > 0 {
-			// Force the indexed path for tables below the size gate, so
-			// the fuzzer always exercises the stride index.
-			snap.index = buildIndexInto(snap.ar, snap.rng)
-		}
 
 		// Patch path: diff the two compressed tables by prefix (a route
 		// is "the same" iff its prefix survived — hop changes are not
@@ -102,9 +106,6 @@ func FuzzSnapshotIndex(f *testing.F) {
 				}
 			}
 			snap1 := newSnapshot(1, routes1, 4)
-			if snap1.index.empty() {
-				snap1.index = buildIndexInto(snap1.ar, snap1.rng)
-			}
 			ar2 := newArena(len(routes))
 			rng2, hop2 := ar2.routeSlabs(len(routes))
 			fillSlabs(rng2, hop2, routes)

@@ -54,11 +54,7 @@ func FuzzRuntimeUpdate(f *testing.F) {
 		for _, r := range base {
 			mirror.Insert(r.Prefix, r.NextHop, nil)
 		}
-		rt, err := New(base, Config{
-			Workers:    workers,
-			QueueDepth: 16,
-			BatchMax:   4,
-		})
+		rt, err := New(base, Config{Workers: workers, QueueDepth: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,24 +5,23 @@ import (
 	"fmt"
 	"sync"
 
+	"clue/internal/ip"
 	"clue/internal/ttf"
 )
 
 // WorkerState is the health of one partition worker. The state machine
-// is Healthy → Draining → Failed → Healthy (RecoverWorker); panics jump
-// straight to Failed.
+// is Healthy → Failed (FailWorker, or a recovered panic) → Healthy
+// (RecoverWorker).
 type WorkerState int32
 
 const (
 	// WorkerHealthy accepts new lookups and owns a home range.
 	WorkerHealthy WorkerState = iota
-	// WorkerDraining accepts no new lookups but still serves its queued
-	// backlog — the transitional state while FailWorker re-homes its
-	// range onto the survivors.
-	WorkerDraining
-	// WorkerFailed is out of service: no home range, no new lookups. A
-	// failed worker's goroutine stays parked on its (now quiet) queue so
-	// RecoverWorker can bring it back without respawning anything.
+	// WorkerFailed is out of service: no new lookups, and no home range
+	// once the re-home publication is live. Its goroutine still serves
+	// whatever was queued before the failure, then stays parked on its
+	// (now quiet) queue so RecoverWorker can bring it back without
+	// respawning anything.
 	WorkerFailed
 )
 
@@ -31,8 +30,6 @@ func (s WorkerState) String() string {
 	switch s {
 	case WorkerHealthy:
 		return "healthy"
-	case WorkerDraining:
-		return "draining"
 	case WorkerFailed:
 		return "failed"
 	}
@@ -48,23 +45,22 @@ var ErrUnknownWorker = errors.New("serve: unknown worker")
 var ErrWorkerState = errors.New("serve: invalid worker state transition")
 
 // ErrNoHealthyWorkers is returned by the dispatch paths when every
-// partition worker is failed or draining — the only condition under
+// partition worker is failed — the only condition under
 // which worker-path forwarding stops. The snapshot path (Lookup /
 // LookupBatch) keeps answering regardless.
 var ErrNoHealthyWorkers = errors.New("serve: no healthy workers")
 
 // ErrEnqueueTimeout is returned by the dispatch paths when every
-// eligible worker queue stayed full for the whole retry/timeout budget
-// (Config.EnqueueRetries / Config.EnqueueTimeout).
+// eligible worker queue stayed full for the whole retry budget (32
+// backoff rounds, about 128 ms).
 var ErrEnqueueTimeout = errors.New("serve: enqueue timed out, all eligible worker queues full")
 
 // FailWorker takes worker id out of service: the worker is marked
-// draining immediately (no new lookups are routed to it, its queued
+// failed immediately (no new lookups are routed to it, its queued
 // backlog still completes), its home range is re-split exactly evenly
 // across the surviving workers — the disjoint table makes the recut a
 // pure boundary move with no priority reordering — and the re-homed
-// snapshot is published before FailWorker returns, after which the
-// worker is failed.
+// snapshot is published before FailWorker returns.
 //
 // Failing the last healthy worker is refused (ErrWorkerState): operator
 // action never stops forwarding. Only a panic can take the last worker
@@ -77,14 +73,10 @@ func (r *Runtime) FailWorker(id int) error {
 		return fmt.Errorf("%w: worker %d is the last healthy worker", ErrWorkerState, id)
 	}
 	w := r.workers[id]
-	if !w.state.CompareAndSwap(int32(WorkerHealthy), int32(WorkerDraining)) {
+	if !w.state.CompareAndSwap(int32(WorkerHealthy), int32(WorkerFailed)) {
 		return fmt.Errorf("%w: worker %d is %s, not healthy", ErrWorkerState, id, WorkerState(w.state.Load()))
 	}
-	err := r.submitCtl()
-	// Even if the runtime closed under us the worker must not linger in
-	// draining, or a later RecoverWorker could never see a legal state.
-	w.state.Store(int32(WorkerFailed))
-	return err
+	return r.submitCtl(nil)
 }
 
 // RecoverWorker returns a failed worker to service: its state flips to
@@ -99,7 +91,7 @@ func (r *Runtime) RecoverWorker(id int) error {
 	if !w.state.CompareAndSwap(int32(WorkerFailed), int32(WorkerHealthy)) {
 		return fmt.Errorf("%w: worker %d is %s, not failed", ErrWorkerState, id, WorkerState(w.state.Load()))
 	}
-	return r.submitCtl()
+	return r.submitCtl(nil)
 }
 
 // WorkerStates returns each worker's current health state.
@@ -124,8 +116,10 @@ func (r *Runtime) healthyCount() int {
 
 // submitCtl queues a control op that forces the writer to publish a
 // re-homed snapshot (fresh partition bounds from the current health
-// states) and waits for the publication.
-func (r *Runtime) submitCtl() error {
+// states) and waits for the publication. A non-nil plan is installed
+// first as the writer's persistent weighted cut plan (see
+// Runtime.Rebalance).
+func (r *Runtime) submitCtl(plan []ip.Addr) error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
@@ -134,7 +128,7 @@ func (r *Runtime) submitCtl() error {
 	if r.closed.Load() {
 		return ErrClosed
 	}
-	op := updateOp{ctl: true, done: make(chan ttf.TTF, 1)}
+	op := updateOp{ctl: true, plan: plan, done: make(chan ttf.TTF, 1)}
 	r.updates <- op
 	<-op.done
 	return nil
@@ -146,7 +140,7 @@ func (r *Runtime) submitCtl() error {
 // change — the same control publication FailWorker and RecoverWorker
 // ride — so the oracle's flush/swap lifecycle commands are exercised
 // without taking a worker out of service.
-func (r *Runtime) Republish() error { return r.submitCtl() }
+func (r *Runtime) Republish() error { return r.submitCtl(nil) }
 
 // failAfterPanic is the panic-recovery path out of worker.run: the
 // worker is forced straight to failed and a rehome publication is

@@ -18,13 +18,9 @@ func TestConfigValidate(t *testing.T) {
 		want string // substring of the error, "" = config is valid
 	}{
 		{"defaults", Config{}, ""},
-		{"explicit values", Config{Workers: 2, QueueDepth: 8, BatchMax: 4}, ""},
+		{"explicit values", Config{Workers: 2, QueueDepth: 8}, ""},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative queue depth", Config{QueueDepth: -4}, "QueueDepth"},
-		{"negative update queue", Config{UpdateQueue: -1}, "UpdateQueue"},
-		{"negative batch max", Config{BatchMax: -64}, "BatchMax"},
-		{"negative enqueue retries", Config{EnqueueRetries: -1}, "EnqueueRetries"},
-		{"negative enqueue timeout", Config{EnqueueTimeout: -time.Second}, "EnqueueTimeout"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,6 +118,71 @@ func TestFailWorkerRehomesRange(t *testing.T) {
 	}
 	if st := rt.Stats(); st.FailedWorkers != 0 {
 		t.Fatalf("failed workers after recovery: %d", st.FailedWorkers)
+	}
+}
+
+// TestFailRecoverRace races FailWorker against RecoverWorker on one
+// worker. Neither call may hang, the final state must be the one the
+// successful calls imply (Recover succeeds only after Fail's
+// transition), and the published snapshot must agree with it: a failed
+// worker homes nothing, a healthy one owns a range. Run under -race.
+func TestFailRecoverRace(t *testing.T) {
+	_, routes := testRoutes(t, 2000, 49)
+	rt, err := New(routes, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for i := 0; i < 200; i++ {
+		rehomes := rt.Stats().Rehomes
+		var failErr, recoverErr error
+		start := make(chan struct{})
+		done := make(chan struct{}, 2)
+		go func() {
+			<-start
+			failErr = rt.FailWorker(2)
+			done <- struct{}{}
+		}()
+		go func() {
+			<-start
+			recoverErr = rt.RecoverWorker(2)
+			done <- struct{}{}
+		}()
+		close(start)
+		for k := 0; k < 2; k++ {
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: FailWorker/RecoverWorker race hung", i)
+			}
+		}
+		if failErr != nil {
+			t.Fatalf("round %d: FailWorker of a healthy worker: %v", i, failErr)
+		}
+		if recoverErr != nil && !errors.Is(recoverErr, ErrWorkerState) {
+			t.Fatalf("round %d: RecoverWorker: %v", i, recoverErr)
+		}
+		want := WorkerFailed
+		if recoverErr == nil {
+			want = WorkerHealthy
+		}
+		if got := rt.WorkerStates()[2]; got != want {
+			t.Fatalf("round %d: state %v, want %v (recover err %v)", i, got, want, recoverErr)
+		}
+		if rt.Stats().Rehomes == rehomes {
+			t.Fatalf("round %d: no re-home published", i)
+		}
+		slot := rt.ep.enter(1)
+		emptyHome := rt.snap.Load().emptyHome(2)
+		slot.exit()
+		if emptyHome != (want == WorkerFailed) {
+			t.Fatalf("round %d: state %v but published snapshot has empty home %v", i, want, emptyHome)
+		}
+		if want == WorkerFailed {
+			if err := rt.RecoverWorker(2); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -301,12 +362,7 @@ func TestPanicOnBatchStillAnswers(t *testing.T) {
 
 func TestDispatchEnqueueTimeout(t *testing.T) {
 	fib, routes := testRoutes(t, 2000, 45)
-	rt, err := New(routes, Config{
-		Workers:        2,
-		QueueDepth:     1,
-		EnqueueRetries: 3,
-		EnqueueTimeout: 50 * time.Millisecond,
-	})
+	rt, err := New(routes, Config{Workers: 2, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,12 +425,7 @@ func TestDispatchEnqueueTimeout(t *testing.T) {
 
 func TestDispatchBatchDrainsDonesOnPartialFailure(t *testing.T) {
 	fib, routes := testRoutes(t, 2000, 46)
-	rt, err := New(routes, Config{
-		Workers:        2,
-		QueueDepth:     2,
-		EnqueueRetries: 3,
-		EnqueueTimeout: 30 * time.Millisecond,
-	})
+	rt, err := New(routes, Config{Workers: 2, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,9 +477,14 @@ func TestDispatchBatchDrainsDonesOnPartialFailure(t *testing.T) {
 		_, err := rt.DispatchBatch([]ip.Addr{a0, a1}, nil)
 		errc <- err
 	}()
-	// Let the batch hit its timeout, then un-wedge the workers so the
-	// pending group can be drained and the call return.
-	time.Sleep(100 * time.Millisecond)
+	// Let the batch's retry budget run out, then un-wedge the workers so
+	// the pending group can be drained and the call return.
+	for rt.Stats().EnqueueTimeouts == 0 {
+		if !time.Now().Before(deadline) {
+			t.Fatal("DispatchBatch never exhausted its enqueue retries")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	rel0()
 	r1park()
 	r1slot()
@@ -499,9 +555,6 @@ func TestSnapshotShellDownMask(t *testing.T) {
 
 	t.Run("rehome shares index", func(t *testing.T) {
 		prev := newSnapshot(1, routes, 4)
-		if prev.index.empty() {
-			t.Fatal("test table below index threshold")
-		}
 		next := prev.clonePatched(2, 4, []bool{false, true, false, false}, nil)
 		if next.Home(routes[len(routes)/3].Prefix.First()) == 1 {
 			t.Fatal("re-homed snapshot still homes routes to the down worker")

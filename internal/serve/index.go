@@ -55,11 +55,6 @@ const (
 	// promote, keeping the patch cost proportional to the batch.
 	subPatchPromoteMax = 16
 
-	// strideMinRoutes gates index construction: below this table size a
-	// plain binary search already fits in a couple of cache lines and
-	// the 512 KiB first level is not worth carrying on every snapshot.
-	strideMinRoutes = 256
-
 	// strideScanMax bounds the linear candidate scan; leaf buckets (or
 	// pathological /24 sub-buckets) packed with more long prefixes than
 	// this fall back to a binary search bounded to the bucket.
@@ -93,9 +88,6 @@ type strideIndex struct {
 	l1   []uint64
 	subs []uint16
 }
-
-// empty reports whether the snapshot carries no index (small tables).
-func (ix strideIndex) empty() bool { return ix.l1 == nil }
 
 // subCount returns the number of promoted buckets.
 func (ix strideIndex) subCount() int { return len(ix.subs) / subEntries }

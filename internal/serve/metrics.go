@@ -147,10 +147,7 @@ type Stats struct {
 	// snapshot; Workers the partition worker count.
 	SnapshotVersion uint64 `json:"snapshot_version"`
 	Routes          int    `json:"routes"`
-	// Indexed reports whether the published snapshot carries the stride
-	// index (false only for tables below the index threshold).
-	Indexed bool `json:"indexed"`
-	Workers int  `json:"workers"`
+	Workers         int    `json:"workers"`
 	// IndexBytes is the published snapshot's two-level index footprint;
 	// IndexSubArrays the number of hot buckets promoted to second-level
 	// sub-arrays; SnapshotHeapBytes the snapshot's arena slab footprint
@@ -188,15 +185,15 @@ type Stats struct {
 	CacheMisses int64 `json:"-"`
 	// WorkerServed is the per-worker served-lookup count.
 	WorkerServed []int64 `json:"worker_served"`
-	// WorkerHealth is each worker's health state ("healthy", "draining",
-	// "failed"); FailedWorkers counts the ones not currently healthy —
+	// WorkerHealth is each worker's health state ("healthy" or
+	// "failed"); FailedWorkers counts the failed ones —
 	// non-zero means the runtime is in degraded mode.
 	WorkerHealth  []string `json:"worker_health"`
 	FailedWorkers int      `json:"failed_workers"`
 	// Rehomes counts published snapshots that recut the partition bounds
 	// after a worker health change; EnqueueRetries the backoff retries on
 	// the dispatch path, EnqueueTimeouts the dispatches whose whole
-	// retry/timeout budget expired; WorkerPanics the panics recovered
+	// retry budget expired; WorkerPanics the panics recovered
 	// inside worker goroutines.
 	Rehomes         int64 `json:"rehomes"`
 	EnqueueRetries  int64 `json:"enqueue_retries"`
@@ -309,10 +306,10 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	emit("clue_serve_dispatch_batches_total", "counter", "DispatchBatch calls served.", float64(s.DispatchBatches))
 	emit("clue_serve_diverted_total", "counter", "Dispatches diverted off a full home queue.", float64(s.Diverted))
 	emit("clue_serve_overflow_blocked_total", "counter", "Dispatches that found every eligible queue full and entered the bounded retry loop (counted once, on the first retry).", float64(s.OverflowBlocked))
-	emit("clue_serve_failed_workers", "gauge", "Workers currently draining or failed (non-zero = degraded mode).", float64(s.FailedWorkers))
+	emit("clue_serve_failed_workers", "gauge", "Workers currently failed (non-zero = degraded mode).", float64(s.FailedWorkers))
 	emit("clue_serve_rehomes_total", "counter", "Snapshots published with recut partition bounds.", float64(s.Rehomes))
 	emit("clue_serve_enqueue_retries_total", "counter", "Dispatch enqueue backoff retries.", float64(s.EnqueueRetries))
-	emit("clue_serve_enqueue_timeouts_total", "counter", "Dispatches whose enqueue retry/timeout budget expired.", float64(s.EnqueueTimeouts))
+	emit("clue_serve_enqueue_timeouts_total", "counter", "Dispatches whose enqueue retry budget expired.", float64(s.EnqueueTimeouts))
 	emit("clue_serve_worker_panics_total", "counter", "Panics recovered inside worker goroutines.", float64(s.WorkerPanics))
 	emit("clue_serve_rebalance_recuts_total", "counter", "Weighted recuts published by the rebalancer.", float64(s.Rebalance.Recuts))
 	emit("clue_serve_rebalance_skips_total", "counter", "Rebalance passes that published nothing (hysteresis, no signal, degraded).", float64(s.Rebalance.Skips))

@@ -19,7 +19,7 @@ import (
 // writer's table.
 func TestConcurrentReadersDuringUpdateStorm(t *testing.T) {
 	_, routes := testRoutes(t, 5000, 31)
-	rt, err := New(routes, Config{Workers: 4, QueueDepth: 64, BatchMax: 16})
+	rt, err := New(routes, Config{Workers: 4, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"clue/internal/ip"
 	"clue/internal/partition"
-	"clue/internal/ttf"
 )
 
 // Traffic-sketch geometry. Each worker counts sampled served addresses
@@ -39,6 +38,10 @@ const (
 	// one-interval traffic burst cannot trigger a whole-table re-homing
 	// that a steady estimate would not have asked for.
 	rebalanceHotStreak = 2
+	// rebalanceImbalanceThreshold is the hysteresis gate: an unforced
+	// pass proposes a recut only when the observed imbalance (max
+	// partition traffic / mean) is at least this ratio.
+	rebalanceImbalanceThreshold = 1.25
 )
 
 // RebalanceConfig parameterises the load-aware repartitioning loop: a
@@ -51,11 +54,6 @@ type RebalanceConfig struct {
 	// background loop; manual Runtime.Rebalance calls and the
 	// /admin/rebalance trigger still work.
 	Interval time.Duration
-	// ImbalanceThreshold is the hysteresis gate: an unforced pass
-	// proposes a recut only when the observed imbalance (max partition
-	// traffic / mean) is at least this ratio. Default 1.25; must be >= 1
-	// (1 rebalances on any improvement).
-	ImbalanceThreshold float64
 	// MaxMoveFraction bounds each recut's churn: at most this fraction of
 	// the table's routes may change home per pass, so a recut never
 	// invalidates more locality than it repairs. Default 0.25; must be in
@@ -67,9 +65,6 @@ func (c RebalanceConfig) validate() error {
 	if c.Interval < 0 {
 		return fmt.Errorf("serve: Rebalance.Interval must be >= 0 (0 disables), got %v", c.Interval)
 	}
-	if c.ImbalanceThreshold != 0 && c.ImbalanceThreshold < 1 {
-		return fmt.Errorf("serve: Rebalance.ImbalanceThreshold must be >= 1 (0 means default), got %g", c.ImbalanceThreshold)
-	}
 	if c.MaxMoveFraction < 0 || c.MaxMoveFraction > 1 {
 		return fmt.Errorf("serve: Rebalance.MaxMoveFraction must be in [0, 1] (0 means default), got %g", c.MaxMoveFraction)
 	}
@@ -77,9 +72,6 @@ func (c RebalanceConfig) validate() error {
 }
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
-	if c.ImbalanceThreshold == 0 {
-		c.ImbalanceThreshold = 1.25
-	}
 	if c.MaxMoveFraction == 0 {
 		c.MaxMoveFraction = 0.25
 	}
@@ -294,7 +286,7 @@ func (r *Runtime) Rebalance(force bool) (RebalanceResult, error) {
 	res.ImbalanceAfter = res.ImbalanceBefore
 	r.m.rebalanceImbBefore.set(res.ImbalanceBefore)
 	if !force {
-		if res.ImbalanceBefore < r.cfg.Rebalance.ImbalanceThreshold {
+		if res.ImbalanceBefore < rebalanceImbalanceThreshold {
 			rb.hotStreak = 0
 			return skip("below imbalance threshold")
 		}
@@ -319,7 +311,7 @@ func (r *Runtime) Rebalance(force bool) (RebalanceResult, error) {
 	for j := 1; j < nw; j++ {
 		plan[j] = ip.Addr(rb.firsts[carve.Cuts[j]])
 	}
-	if err := r.submitPlan(plan); err != nil {
+	if err := r.submitCtl(plan); err != nil {
 		return res, err
 	}
 	res.Recut = true
@@ -348,22 +340,4 @@ func (r *Runtime) imbalanceOf(cuts []int, m int, total float64, nw int) float64 
 		}
 	}
 	return maxW * float64(nw) / total
-}
-
-// submitPlan queues the control publication installing plan as the
-// writer's persistent cut plan — the same re-homing publication worker
-// health changes ride.
-func (r *Runtime) submitPlan(plan []ip.Addr) error {
-	if r.closed.Load() {
-		return ErrClosed
-	}
-	r.inflight.Add(1)
-	defer r.inflight.Add(-1)
-	if r.closed.Load() {
-		return ErrClosed
-	}
-	op := updateOp{ctl: true, plan: plan, done: make(chan ttf.TTF, 1)}
-	r.updates <- op
-	<-op.done
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"clue/internal/ip"
+	"clue/internal/ribio"
 )
 
 // partitionAddrs returns one probe address per route in worker w's home
@@ -212,9 +213,9 @@ func TestRebalanceHysteresis(t *testing.T) {
 	if res.Recut {
 		t.Fatalf("uniform traffic recut: %+v", res)
 	}
-	if res.ImbalanceBefore >= rt.cfg.Rebalance.ImbalanceThreshold {
+	if res.ImbalanceBefore >= rebalanceImbalanceThreshold {
 		t.Fatalf("uniform traffic measured imbalance %.3f above threshold %.3f",
-			res.ImbalanceBefore, rt.cfg.Rebalance.ImbalanceThreshold)
+			res.ImbalanceBefore, rebalanceImbalanceThreshold)
 	}
 
 	if err := rt.FailWorker(1); err != nil {
@@ -331,12 +332,53 @@ func TestRebalancePlanSurvivesChurn(t *testing.T) {
 	}
 }
 
+// TestPlannedRecutSurvivesTailWithdraw is the runtime half of the
+// cutPlanned clamp: a weighted plan is installed, then route churn
+// withdraws every route at or past the plan's last cut. The writer must
+// republish — not panic — with every worker still owning a route, and
+// lookups on both paths must answer from the shrunken table.
+func TestPlannedRecutSurvivesTailWithdraw(t *testing.T) {
+	routes := slash8Routes(everyFifth(40)...) // 5/8 … 200/8
+	rt, err := New(routes, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	a := octetAddr
+	if err := rt.submitCtl([]ip.Addr{0, a(60), a(120), a(190)}); err != nil {
+		t.Fatal(err)
+	}
+	var tail []ribio.UpdateRecord
+	for _, r := range routes[37:] {
+		tail = append(tail, ribio.UpdateRecord{Withdraw: true, Prefix: r.Prefix})
+	}
+	if _, err := rt.ApplyBatch(tail); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 4; w++ {
+		if n := homeRouteCount(rt, w); n == 0 {
+			t.Fatalf("worker %d owns no route after the tail withdraw", w)
+		}
+	}
+	for i, r := range routes {
+		addr := r.Prefix.First() + 7
+		want := i < 37
+		hop, _, ok := rt.Lookup(addr)
+		res, err := rt.Dispatch(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != want || res.Found != want || (want && (hop != r.NextHop || res.Hop != r.NextHop)) {
+			t.Fatalf("%s: Lookup = %d/%v, Dispatch = %+v, want found=%v hop %d", addr, hop, ok, res, want, r.NextHop)
+		}
+	}
+}
+
 // TestRebalanceConfigValidate pins the config contract.
 func TestRebalanceConfigValidate(t *testing.T) {
 	_, routes := testRoutes(t, 200, 3)
 	for name, cfg := range map[string]RebalanceConfig{
 		"negative interval":  {Interval: -time.Second},
-		"threshold below 1":  {ImbalanceThreshold: 0.5},
 		"move fraction > 1":  {MaxMoveFraction: 1.5},
 		"negative move frac": {MaxMoveFraction: -0.1},
 	} {
@@ -348,7 +390,7 @@ func TestRebalanceConfigValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.cfg.Rebalance.ImbalanceThreshold != 1.25 || rt.cfg.Rebalance.MaxMoveFraction != 0.25 {
+	if rt.cfg.Rebalance.MaxMoveFraction != 0.25 {
 		t.Errorf("defaults not applied: %+v", rt.cfg.Rebalance)
 	}
 	rt.Close()

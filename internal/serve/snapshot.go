@@ -58,8 +58,8 @@ type Snapshot struct {
 	// hop holds the next hops, parallel to rng. Accessed with atomic
 	// u32 loads/stores to make the writer's in-place patches sound.
 	hop []uint32
-	// index is the two-level DIR-24-8 index over rng; empty for tables
-	// below strideMinRoutes, where Lookup falls back to binary search.
+	// index is the two-level DIR-24-8 index over rng, built for every
+	// table size.
 	index strideIndex
 	// starts[i] is the first address partition worker i is home to
 	// (starts[0] is always 0), the software Indexing Logic.
@@ -105,14 +105,11 @@ func fillSlabs(rng []uint64, hop []uint32, routes []ip.Route) {
 
 // newSnapshot builds a snapshot over routes (which must be sorted
 // ascending and disjoint — the order onrtc.Table.Routes guarantees) on a
-// fresh arena, including the two-level index for tables above
-// strideMinRoutes.
+// fresh arena, including the two-level index.
 func newSnapshot(version uint64, routes []ip.Route, workers int) *Snapshot {
 	s := snapshotShell(version, routes, workers, nil, nil)
 	s.digest = onrtc.Digest(routes)
-	if len(routes) >= strideMinRoutes {
-		s.index = buildIndexInto(s.ar, s.rng)
-	}
+	s.index = buildIndexInto(s.ar, s.rng)
 	return s
 }
 
@@ -129,7 +126,7 @@ func snapshotShell(version uint64, routes []ip.Route, workers int, down []bool, 
 // shellOnArena builds a snapshot over ar's already-filled route slabs:
 // the writer's entry point, so a recycled arena never takes the
 // []ip.Route detour. down (nil when all workers are healthy) excludes
-// failed/draining workers from the recut: their ranges are re-split
+// failed workers from the recut: their ranges are re-split
 // exactly evenly across the survivors — the disjoint table makes this a
 // pure boundary move, no reordering. plan, when non-nil, carries the
 // rebalancer's weighted cut addresses (see cutPartitions).
@@ -216,11 +213,13 @@ func (s *Snapshot) cutPartitions(workers int, down []bool, plan []ip.Addr) {
 // cutPlanned installs a rebalancer cut plan: plan[j] is worker j's
 // intended partition start address. Each planned start is snapped to
 // the first route beginning at or past it and clamped into
-// [prev+1, len(rng)-(workers-1-j)], so the realized cuts are strictly
+// [prev+1, len(rng)-(workers-j)], so the realized cuts are strictly
 // increasing and every worker keeps at least one route even when route
 // churn since the plan was computed has shifted or removed the planned
-// boundaries. Returns false when the table cannot give each worker a
-// route — the caller falls back to the even count split.
+// boundaries: workers j..workers-1 need workers-j routes from the cut
+// on, and a plan past every route start snaps to len(rng) itself.
+// Returns false when the table cannot give each worker a route — the
+// caller falls back to the even count split.
 func (s *Snapshot) cutPlanned(workers int, plan []ip.Addr) bool {
 	m := len(s.rng)
 	if m < workers {
@@ -235,7 +234,7 @@ func (s *Snapshot) cutPlanned(workers int, plan []ip.Addr) bool {
 		if min := prev + 1; idx < min {
 			idx = min
 		}
-		if max := m - (workers - 1 - j); idx > max {
+		if max := m - (workers - j); idx > max {
 			idx = max
 		}
 		s.starts[j] = ip.Addr(rngFirst(s.rng[idx]))
@@ -260,10 +259,6 @@ func (s *Snapshot) Len() int { return len(s.rng) }
 // Workers returns the partition count the range index dispatches over.
 func (s *Snapshot) Workers() int { return len(s.starts) }
 
-// Indexed reports whether the snapshot carries the stride index (large
-// tables) or serves Lookup through the binary-search fallback.
-func (s *Snapshot) Indexed() bool { return !s.index.empty() }
-
 // IndexBytes returns the memory footprint of the two-level index.
 func (s *Snapshot) IndexBytes() int { return s.index.bytes() }
 
@@ -286,12 +281,8 @@ func (s *Snapshot) route(k int, e uint64) (ip.NextHop, ip.Prefix, bool) {
 // case is one first-level load — or two dependent loads through a hot
 // bucket's sub-array — plus a probe of the one or two routes whose
 // ranges intersect the bucket; degenerate buckets fall back to a binary
-// search bounded to the bucket, and small tables to the full binary
-// search. It is lock-free and allocation-free.
+// search bounded to the bucket. It is lock-free and allocation-free.
 func (s *Snapshot) Lookup(addr ip.Addr) (ip.NextHop, ip.Prefix, bool) {
-	if s.index.empty() {
-		return s.LookupBinary(addr)
-	}
 	a := uint32(addr)
 	b := a >> strideShift
 	e := s.index.l1[b]
@@ -352,8 +343,8 @@ func (s *Snapshot) Lookup(addr ip.Addr) (ip.NextHop, ip.Prefix, bool) {
 }
 
 // LookupBinary resolves addr with a full binary search over the table —
-// the pre-index reference path, kept as the small-table fallback and as
-// the oracle for the differential tests and benchmarks.
+// the pre-index reference path, kept as the oracle for the differential
+// tests and benchmarks. Lookup never calls it.
 func (s *Snapshot) LookupBinary(addr ip.Addr) (ip.NextHop, ip.Prefix, bool) {
 	a := uint32(addr)
 	i := sort.Search(len(s.rng), func(i int) bool {

@@ -9,6 +9,7 @@ import (
 	"clue/internal/fibgen"
 	"clue/internal/ip"
 	"clue/internal/onrtc"
+	"clue/internal/ribio"
 	"clue/internal/trie"
 )
 
@@ -105,22 +106,18 @@ func TestSnapshotEmptyTable(t *testing.T) {
 	if h := snap.Home(ip.MustParseAddr("10.0.0.1")); h != 0 {
 		t.Fatalf("empty snapshot home = %d", h)
 	}
-	if snap.Indexed() {
-		t.Fatal("empty snapshot claims a stride index")
+	if len(snap.index.l1) != strideBuckets+1 {
+		t.Fatalf("empty snapshot carries a %d-entry first level", len(snap.index.l1))
 	}
 }
 
-// TestSnapshotIndexedMatchesBinary drives the stride-indexed fast path
-// against the binary-search oracle over a FIB large enough to build the
-// index, probing random addresses plus every route boundary (First,
-// Last, and their neighbours — the addresses where an off-by-one in the
-// bucket cut points would bite).
-func TestSnapshotIndexedMatchesBinary(t *testing.T) {
-	fib, _ := testRoutes(t, 6000, 41)
-	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
-	if !snap.Indexed() {
-		t.Fatalf("no stride index over %d routes", snap.Len())
-	}
+// checkIndexMatchesBinary probes snap's stride-indexed Lookup against
+// the binary-search oracle at every route boundary (First, Last, and
+// their neighbours — the addresses where an off-by-one in the bucket
+// cut points would bite), the two ends of the address space, and
+// random addresses.
+func checkIndexMatchesBinary(t *testing.T, snap *Snapshot, seed int64) {
+	t.Helper()
 	check := func(a ip.Addr) {
 		t.Helper()
 		hopI, pfxI, okI := snap.Lookup(a)
@@ -130,6 +127,8 @@ func TestSnapshotIndexedMatchesBinary(t *testing.T) {
 				a, hopI, pfxI, okI, hopB, pfxB, okB)
 		}
 	}
+	check(0)
+	check(ip.Addr(^uint32(0)))
 	for _, r := range snap.Routes() {
 		for _, a := range []ip.Addr{r.Prefix.First(), r.Prefix.Last()} {
 			check(a)
@@ -141,9 +140,57 @@ func TestSnapshotIndexedMatchesBinary(t *testing.T) {
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(41))
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 50000; i++ {
 		check(ip.Addr(rng.Uint32()))
+	}
+}
+
+// TestSnapshotIndexedMatchesBinary drives the stride-indexed fast path
+// against the binary-search oracle over a realistic FIB.
+func TestSnapshotIndexedMatchesBinary(t *testing.T) {
+	fib, _ := testRoutes(t, 6000, 41)
+	checkIndexMatchesBinary(t, newSnapshot(1, onrtc.Compress(fib).Routes(), 4), 41)
+}
+
+// TestSnapshotSmallTablesIndexed covers the table sizes the differential
+// oracle's live tables and the chaos scenarios run at: every snapshot
+// carries the stride index, so a table of zero, one, two or a few
+// hundred routes must answer exactly like the binary search.
+func TestSnapshotSmallTablesIndexed(t *testing.T) {
+	fib, _ := testRoutes(t, 3000, 42)
+	all := onrtc.Compress(fib).Routes()
+	spread := func(n int) []ip.Route {
+		out := make([]ip.Route, n)
+		for i := range out {
+			out[i] = all[i*len(all)/n]
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		routes []ip.Route
+	}{
+		{"0 routes", nil},
+		{"1 route, default", []ip.Route{{Prefix: ip.MustParsePrefix("0.0.0.0/0"), NextHop: 1}}},
+		{"1 route, top host", []ip.Route{{Prefix: ip.MustParsePrefix("255.255.255.255/32"), NextHop: 1}}},
+		{"2 routes, both ends", []ip.Route{
+			{Prefix: ip.MustParsePrefix("0.0.0.0/32"), NextHop: 1},
+			{Prefix: ip.MustParsePrefix("255.255.255.255/32"), NextHop: 2},
+		}},
+		{"2 routes, one bucket", []ip.Route{
+			{Prefix: ip.MustParsePrefix("10.1.1.0/25"), NextHop: 1},
+			{Prefix: ip.MustParsePrefix("10.1.1.128/25"), NextHop: 2},
+		}},
+		{"255 routes", spread(255)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := newSnapshot(1, tc.routes, 4)
+			if snap.Len() != len(tc.routes) {
+				t.Fatalf("snapshot holds %d routes, want %d", snap.Len(), len(tc.routes))
+			}
+			checkIndexMatchesBinary(t, snap, int64(len(tc.routes)))
+		})
 	}
 }
 
@@ -269,9 +316,6 @@ func TestStrideIndexPatchMatchesRebuild(t *testing.T) {
 func TestSnapshotLookupZeroAllocs(t *testing.T) {
 	fib, routes := testRoutes(t, 5000, 43)
 	snap := newSnapshot(1, onrtc.Compress(fib).Routes(), 4)
-	if !snap.Indexed() {
-		t.Fatalf("no stride index over %d routes", snap.Len())
-	}
 	rng := rand.New(rand.NewSource(43))
 	addrs := make([]ip.Addr, 1024)
 	for i := range addrs {
@@ -360,6 +404,116 @@ func TestSnapshotTinyTableCutPoints(t *testing.T) {
 			t.Fatalf("home not monotone at bucket %d: %d after %d", i, h, prev)
 		}
 		prev = h
+	}
+}
+
+// TestWithdrawEverythingStaysIndexed withdraws every route through the
+// writer: the published empty table must carry a patched index that
+// misses everywhere exactly like the binary search, and a later
+// announce must be found again through the same index path.
+func TestWithdrawEverythingStaysIndexed(t *testing.T) {
+	routes := slash8Routes(10, 20, 30, 200)
+	rt, err := New(routes, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var all []ribio.UpdateRecord
+	for _, r := range routes {
+		all = append(all, ribio.UpdateRecord{Withdraw: true, Prefix: r.Prefix})
+	}
+	patches := rt.Stats().IndexPatches
+	if _, err := rt.ApplyBatch(all); err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.Stats(); st.Routes != 0 || st.IndexPatches != patches+1 {
+		t.Fatalf("after withdrawing everything: %d routes, %d index patches (was %d)", st.Routes, st.IndexPatches, patches)
+	}
+	snap := rt.Snapshot()
+	checkIndexMatchesBinary(t, snap, 50)
+	for _, r := range routes {
+		for _, a := range []ip.Addr{r.Prefix.First() - 1, r.Prefix.First(), r.Prefix.Last(), r.Prefix.Last() + 1} {
+			if _, _, ok := snap.Lookup(a); ok {
+				t.Fatalf("empty table matched %s", a)
+			}
+			if res, err := rt.Dispatch(a); err != nil || res.Found {
+				t.Fatalf("Dispatch(%s) on the empty table = %+v, %v", a, res, err)
+			}
+		}
+	}
+	back := ip.MustParsePrefix("20.0.0.0/8")
+	if _, err := rt.Announce(back, 9); err != nil {
+		t.Fatal(err)
+	}
+	if hop, pfx, ok := rt.Lookup(ip.MustParseAddr("20.1.2.3")); !ok || hop != 9 || pfx != back {
+		t.Fatalf("re-announced route: %d %s %v", hop, pfx, ok)
+	}
+	checkIndexMatchesBinary(t, rt.Snapshot(), 51)
+}
+
+// slash8Routes returns one /8 per first octet in firsts, with distinct
+// hops, so no two of them compress together.
+func slash8Routes(firsts ...int) []ip.Route {
+	out := make([]ip.Route, len(firsts))
+	for i, f := range firsts {
+		out[i] = ip.Route{Prefix: ip.MustPrefix(octetAddr(f), 8), NextHop: ip.NextHop(i + 1)}
+	}
+	return out
+}
+
+// octetAddr is the address first.0.0.0.
+func octetAddr(first int) ip.Addr { return ip.Addr(uint32(first) << 24) }
+
+// everyFifth returns the first octets 5, 10, …, 5n.
+func everyFifth(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = 5 * (i + 1)
+	}
+	return out
+}
+
+// TestCutPlannedClampsToTable pins cutPlanned's clamp: however far a
+// rebalancer plan has drifted from the table — every planned start past
+// the last route, or before the first, or a table with exactly one
+// route per worker — each worker keeps at least one route, and no cut
+// indexes past the table (the last worker's cut used to reach len(rng)
+// and panic the writer).
+func TestCutPlannedClampsToTable(t *testing.T) {
+	a := octetAddr
+	for _, tc := range []struct {
+		name   string
+		routes []ip.Route
+		plan   []ip.Addr
+	}{
+		// 5/8 … 185/8, a plan computed before 190/8 … 200/8 were withdrawn.
+		{"plan past the last start", slash8Routes(everyFifth(37)...), []ip.Addr{0, a(60), a(120), a(190)}},
+		{"plan past every start", slash8Routes(everyFifth(40)...), []ip.Addr{0, a(210), a(220), a(230)}},
+		{"plan before every start", slash8Routes(everyFifth(40)...), []ip.Addr{0, 1, 2, 3}},
+		{"one route per worker", slash8Routes(10, 20, 30, 40), []ip.Addr{0, a(15), a(200), a(250)}},
+		{"one route per worker, plan before", slash8Routes(10, 20, 30, 40), []ip.Addr{0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const workers = 4
+			s := snapshotShell(1, tc.routes, workers, nil, tc.plan)
+			if s.starts[0] != 0 {
+				t.Fatalf("starts[0] = %s", s.starts[0])
+			}
+			for j := 1; j < workers; j++ {
+				if s.starts[j] <= s.starts[j-1] {
+					t.Fatalf("cuts not strictly increasing: %v", s.starts)
+				}
+			}
+			owned := make([]int, workers)
+			for _, r := range tc.routes {
+				owned[s.Home(r.Prefix.First())]++
+			}
+			for w, n := range owned {
+				if n == 0 || s.empty[w] {
+					t.Fatalf("worker %d owns no route: owned=%v starts=%v", w, owned, s.starts)
+				}
+			}
+		})
 	}
 }
 

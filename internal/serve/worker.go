@@ -54,7 +54,7 @@ type worker struct {
 	rt    *Runtime
 	queue chan lookupReq
 	// state is the WorkerState health machine; dispatchers read it to
-	// route around draining/failed workers.
+	// route around failed workers.
 	state  atomic.Int32
 	served atomic.Int64
 	// sketch counts sampled served addresses per stride bucket — the
