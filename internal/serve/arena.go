@@ -114,10 +114,13 @@ func (a *arena) ensureL1() []uint64 {
 
 // ensureSubs returns a second-level slab of at least n entries (n must
 // be a multiple of subEntries), reusing recycled capacity when it
-// suffices. Growth does not preserve contents.
+// suffices. Growth does not preserve contents. It is geometric: the
+// writer rotates several arenas while readers pin epochs, and as the
+// table grows each of them would otherwise reallocate its whole slab
+// (8–26 MB) every subSpare promotions.
 func (a *arena) ensureSubs(n int) []uint16 {
 	if cap(a.subs) < n {
-		a.subs = alignedUint16(n + subSpare*subEntries)
+		a.subs = alignedUint16(n + n/8 + subSpare*subEntries)
 	}
 	a.subs = a.subs[:n]
 	return a.subs

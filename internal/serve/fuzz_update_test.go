@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clue/internal/ip"
+	"clue/internal/ribio"
 	"clue/internal/trie"
 )
 
@@ -35,6 +36,23 @@ func FuzzRuntimeUpdate(f *testing.F) {
 		0, 10, 1, 0, 0, 24,
 		4, 10, 1, 0, 9, 0,
 		6, 0, 0, 0, 1, 0,
+		7, 10, 1, 0, 9, 0,
+	})
+	// One-prefix batches (opcode 8): withdraw-then-announce and
+	// announce-then-withdraw runs on a base /8, on a fresh /16 and on a
+	// /12 over fragments announced first.
+	f.Add(int64(4), []byte{
+		8, 10, 0, 0, 0b0110_0000, 8,
+		8, 172, 16, 0, 0b0001_0001, 16,
+		4, 172, 16, 0, 1, 0,
+	})
+	f.Add(int64(5), []byte{
+		0, 10, 1, 0, 0, 24,
+		1, 10, 2, 0, 0, 24,
+		2, 10, 3, 128, 0, 25,
+		8, 10, 0, 0, 0b0010_0010, 12,
+		8, 10, 0, 0, 0b1001_1010, 12,
+		8, 10, 2, 0, 0b0101_0101, 24,
 		7, 10, 1, 0, 9, 0,
 	})
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
@@ -88,7 +106,7 @@ func FuzzRuntimeUpdate(f *testing.F) {
 		}
 
 		for i := 0; i+6 <= len(raw); i += 6 {
-			op := raw[i] % 8
+			op := raw[i] % 9
 			a := ip.Addr(uint32(raw[i+1])<<24 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<8 | uint32(raw[i+4]))
 			p, err := ip.NewPrefix(a, int(raw[i+5])%33)
 			if err != nil {
@@ -123,6 +141,34 @@ func FuzzRuntimeUpdate(f *testing.F) {
 					t.Fatalf("RecoverWorker: %v", err)
 				}
 				checkDigest()
+			case 8: // one batch of 2-4 records, all on p
+				// The address's last byte shapes the batch: its low two bits
+				// add 0-2 records to the minimum of two, and record j reads
+				// bit pair j%3+1: 01 withdraws p, any other value announces
+				// p on a hop derived from the pair.
+				ctl := raw[i+4]
+				recs := make([]ribio.UpdateRecord, 2+int(ctl&3))
+				for j := range recs {
+					bits := ctl >> (2 * (j%3 + 1)) & 3
+					if bits == 1 {
+						recs[j] = ribio.UpdateRecord{Withdraw: true, Prefix: p}
+					} else {
+						recs[j] = ribio.UpdateRecord{Prefix: p, NextHop: ip.NextHop(int(bits) + 1 + j)}
+					}
+				}
+				if _, err := rt.ApplyBatch(recs); err != nil {
+					t.Fatalf("ApplyBatch: %v", err)
+				}
+				for _, u := range recs {
+					if u.Withdraw {
+						mirror.Delete(p, nil)
+					} else {
+						mirror.Insert(p, u.NextHop, nil)
+					}
+				}
+				checkDigest()
+				check(p.First())
+				check(p.Last())
 			case 7: // batch lookup across random probes
 				addrs := []ip.Addr{a, ip.Addr(rng.Uint32()), ip.Addr(rng.Uint32()), p.Last()}
 				out, err := rt.DispatchBatch(addrs, nil)

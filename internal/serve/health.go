@@ -69,12 +69,8 @@ func (r *Runtime) FailWorker(id int) error {
 	if id < 0 || id >= len(r.workers) {
 		return fmt.Errorf("%w: %d (have %d)", ErrUnknownWorker, id, len(r.workers))
 	}
-	if r.healthyCount() <= 1 && r.workers[id].healthy() {
-		return fmt.Errorf("%w: worker %d is the last healthy worker", ErrWorkerState, id)
-	}
-	w := r.workers[id]
-	if !w.state.CompareAndSwap(int32(WorkerHealthy), int32(WorkerFailed)) {
-		return fmt.Errorf("%w: worker %d is %s, not healthy", ErrWorkerState, id, WorkerState(w.state.Load()))
+	if err := r.setState(id, WorkerHealthy, WorkerFailed); err != nil {
+		return err
 	}
 	return r.submitCtl(nil)
 }
@@ -87,11 +83,28 @@ func (r *Runtime) RecoverWorker(id int) error {
 	if id < 0 || id >= len(r.workers) {
 		return fmt.Errorf("%w: %d (have %d)", ErrUnknownWorker, id, len(r.workers))
 	}
-	w := r.workers[id]
-	if !w.state.CompareAndSwap(int32(WorkerFailed), int32(WorkerHealthy)) {
-		return fmt.Errorf("%w: worker %d is %s, not failed", ErrWorkerState, id, WorkerState(w.state.Load()))
+	if err := r.setState(id, WorkerFailed, WorkerHealthy); err != nil {
+		return err
 	}
 	return r.submitCtl(nil)
+}
+
+// setState flips worker id from one state to the other, under healthMu
+// so that failing a worker checks "not the last healthy worker" and
+// flips in one step: two FailWorker calls on the last two healthy
+// workers must not both pass the check. The lock is released before the
+// caller blocks on the publication.
+func (r *Runtime) setState(id int, from, to WorkerState) error {
+	r.healthMu.Lock()
+	defer r.healthMu.Unlock()
+	w := r.workers[id]
+	if to == WorkerFailed && w.healthy() && r.healthyCount() <= 1 {
+		return fmt.Errorf("%w: worker %d is the last healthy worker", ErrWorkerState, id)
+	}
+	if !w.state.CompareAndSwap(int32(from), int32(to)) {
+		return fmt.Errorf("%w: worker %d is %s, not %s", ErrWorkerState, id, WorkerState(w.state.Load()), from)
+	}
+	return nil
 }
 
 // WorkerStates returns each worker's current health state.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,6 +182,53 @@ func TestFailRecoverRace(t *testing.T) {
 		if want == WorkerFailed {
 			if err := rt.RecoverWorker(2); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestFailWorkerLastHealthyRace races FailWorker(0) against
+// FailWorker(1) on a two-worker runtime. The last-healthy guard and the
+// state flip are one step, so at most one call may win a round and at
+// least one worker must stay healthy. Run under -race.
+func TestFailWorkerLastHealthyRace(t *testing.T) {
+	_, routes := testRoutes(t, 200, 50)
+	rt, err := New(routes, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for i := 0; i < 2000; i++ {
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for id := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[id] = rt.FailWorker(id)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		won := 0
+		for id, err := range errs {
+			switch {
+			case err == nil:
+				won++
+			case !errors.Is(err, ErrWorkerState):
+				t.Fatalf("round %d: FailWorker(%d): %v", i, id, err)
+			}
+		}
+		if won > 1 || rt.healthyCount() < 1 {
+			t.Fatalf("round %d: %d FailWorker calls succeeded, %d workers healthy", i, won, rt.healthyCount())
+		}
+		for id, err := range errs {
+			if err == nil {
+				if err := rt.RecoverWorker(id); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

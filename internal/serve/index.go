@@ -46,9 +46,10 @@ const (
 	// sub-array.
 	subPromoteMin = 2
 
-	// subSpare is the promotion headroom (in sub-arrays) a rebuild
-	// leaves in the slab so in-place index patches can promote buckets
-	// that turn hot without forcing a full rebuild.
+	// subSpare is the least promotion headroom (in sub-arrays) a slab
+	// grows with, on top of an eighth of its size, so in-place index
+	// patches can promote buckets that turn hot without forcing a full
+	// rebuild.
 	subSpare = 64
 
 	// subPatchPromoteMax bounds how many buckets one index patch may

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clue/internal/ip"
+	"clue/internal/ribio"
 )
 
 // TestEpochReclamationUnderChurn hammers the lock-free read side from
@@ -190,5 +191,89 @@ func TestWriterDeaggregationAllocs(t *testing.T) {
 	}
 	if got := rt.Snapshot().Len(); got != base {
 		t.Errorf("table did not return to %d routes after retraction: %d", base, got)
+	}
+}
+
+// TestWriterGrowthAllocsUnderReader holds the per-update allocation
+// bound while the table grows and a reader keeps epochs pinned. Every
+// batch promotes index buckets, so the sub-array slab grows with the
+// table, and the pinned epochs keep several arenas in rotation, each
+// carrying a slab of its own. A slab that grew by a fixed number of
+// sub-arrays would be reallocated whole in every arena every few
+// batches; grown geometrically, the copies amortise to a few KB per
+// update.
+func TestWriterGrowthAllocsUnderReader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("growth storm")
+	}
+	_, routes := testRoutes(t, 20000, 7)
+	rt, err := New(routes, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	// Two fresh /24s in each /16 bucket that no route ends in or covers:
+	// every pair turns one empty leaf bucket into a promoted one.
+	var grow []ribio.UpdateRecord
+	slot := rt.ep.enter(1)
+	l1 := rt.snap.Load().index.l1
+	for b := uint32(0); b < 1<<16 && len(grow) < 4000; b++ {
+		if _, _, ok := rt.Lookup(ip.Addr(b << 16)); ok || l1Cut(l1[b+1]) != l1Cut(l1[b]) {
+			continue
+		}
+		grow = append(grow,
+			ribio.UpdateRecord{Prefix: ip.MustPrefix(ip.Addr(b<<16|1<<8), 24), NextHop: 5},
+			ribio.UpdateRecord{Prefix: ip.MustPrefix(ip.Addr(b<<16|9<<8), 24), NextHop: 6})
+	}
+	slot.exit()
+	if len(grow) < 4000 {
+		t.Fatalf("found room for %d growth updates, want 4000", len(grow))
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		addrs := make([]ip.Addr, 256)
+		var out []Result
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range addrs {
+				addrs[i] = routes[rng.Intn(len(routes))].Prefix.First()
+			}
+			out, _ = rt.DispatchBatch(addrs, out)
+		}
+	}()
+	apply := func(recs []ribio.UpdateRecord) {
+		for i := 0; i < len(recs); i += 8 {
+			if _, err := rt.ApplyBatch(recs[i : i+8]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	apply(grow[:400]) // warm the arena pool
+	subs := rt.Stats().IndexSubArrays
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	apply(grow[400:])
+	runtime.ReadMemStats(&after)
+	close(stop)
+	wg.Wait()
+	promoted := rt.Stats().IndexSubArrays - subs
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(grow)-400)
+	t.Logf("table growth under a reader: %d B/update, %d buckets promoted to %d", per, promoted, rt.Stats().IndexSubArrays)
+	if promoted < 1500 {
+		t.Fatalf("only %d buckets promoted; the storm does not grow the slab", promoted)
+	}
+	if per > 32<<10 {
+		t.Errorf("writer path allocates %d B/update while the table grows; want < 32 KiB (sub-array slab regrown per batch?)", per)
 	}
 }

@@ -126,38 +126,30 @@ type updateOp struct {
 type writerScratch struct {
 	batch   []updateOp
 	results []ttf.TTF
-	// insLast/delLast collect the last addresses of routes the batch
-	// inserted into / deleted from the sorted mirror; sorted, they feed
-	// the stride-index patch on the next snapshot.
+	// ops collects the compressed-table diff ops of every record in the
+	// batch, in apply order; publish folds them against the previous
+	// snapshot instead of replaying them one by one.
+	ops []onrtc.Op
+	// net is the batch's net change, one entry per touched prefix, in
+	// table order (see fold).
+	net []netChange
+	// insLast/delLast are the last addresses of the routes the batch
+	// inserts and deletes, ascending: the stride-index patch's input.
 	insLast []ip.Addr
 	delLast []ip.Addr
-	// hopPatches records next-hop changes to existing table positions.
-	// The positions are only meaningful when the batch made no structural
-	// change (no inserts or deletes shifting them) — exactly the case
-	// where the writer patches hops into the live arena in place instead
-	// of copying the table.
-	hopPatches []hopPatch
-	// mergeOps and spare serve mergeDiffIntoTable: the diff sorted into
-	// table order, and the second mirror buffer the merge writes into
-	// (swapped with Runtime.table afterwards).
-	mergeOps []onrtc.Op
-	spare    []ip.Route
 	// down is the per-publication worker health mask (true = out of
 	// service), read fresh from the worker states for every snapshot.
 	down []bool
 }
 
-// mergeMinOps is the diff size from which the writer merges a diff into
-// its sorted mirror in one pass instead of op by op: each op costs a
-// memmove of up to the whole table, so a diff of K ops costs O(K·M) op
-// by op against O(M + K log K) merged, and the merge's fixed cost — one
-// copy of the table — is recovered within a handful of structural ops.
-const mergeMinOps = 16
-
-// hopPatch is one in-place next-hop change: table position -> new hop.
-type hopPatch struct {
-	pos int32
-	hop uint32
+// netChange is a batch's net effect on one prefix of the previous
+// snapshot's table: an insert of route, a delete, or a next-hop change
+// (OpModify). pos is the prefix's position in that table, or where it
+// would sit when absent.
+type netChange struct {
+	pos   int
+	kind  onrtc.OpKind
+	route ip.Route
 }
 
 // retiredSnap is a snapshot replaced by a newer publication, remembered
@@ -181,42 +173,47 @@ const arenaPoolMax = 3
 // Snapshot behind an atomic pointer, so Lookup and the partition workers
 // never take a lock and never block updates. Writes are single-writer:
 // one goroutine owns the onrtc.Updater, drains the bounded update queue
-// in batches, applies each record's compressed-table diff to its sorted
-// mirror, prices it with the paper's TTF bound (ttf.CostModel.CLUEBound),
-// and publishes the next snapshot — stamped with the updater's table
-// digest — with one atomic store.
+// in batches, prices each record's compressed-table diff with the
+// paper's TTF bound (ttf.CostModel.CLUEBound), folds the batch's diffs
+// into one net change against the published snapshot and publishes the
+// next snapshot — stamped with the updater's table digest — with one
+// atomic store. The snapshot is the only copy of the compressed table
+// the writer keeps.
+//
+// Field order is part of the read path's cost: the fields every Dispatch
+// and Lookup reads come first, inflight sits on a cache line of its own,
+// and the writer-owned state is last, so writer stores and scratch
+// growth never share a line with the read-hot fields.
 type Runtime struct {
-	cfg Config
-	upd *onrtc.Updater // owned by the writer goroutine after New
-	// table is the writer's sorted mirror of the compressed table,
-	// maintained incrementally from diff ops so a snapshot swap is a
-	// memcpy instead of a full trie walk — the O(1)-update property of
-	// the paper carried through to snapshot publication.
-	table   []ip.Route
-	ws      writerScratch
+	cfg     Config
 	snap    atomic.Pointer[Snapshot]
 	updates chan updateOp
 	workers []*worker
 	m       metrics
 
-	// ep is the epoch clock readers pin around snapshot access; arenas is
-	// the writer's free pool of reclaimed arenas; retired the FIFO of
-	// replaced snapshots awaiting epoch safety. arenas/retired are
-	// writer-owned.
-	ep      *epochs
-	arenas  []*arena
-	retired []retiredSnap
-	// retiredLen/oldestEpoch mirror the retired list for Stats readers.
+	// ep is the epoch clock readers pin around snapshot access.
+	ep *epochs
+	// retiredLen/oldestEpoch publish the writer's retired list to Stats
+	// readers.
 	retiredLen  atomic.Int64
 	oldestEpoch atomic.Uint64
 	// pinSeed spreads Snapshot() callers across epoch slots.
 	pinSeed atomic.Uint64
 
-	// cutPlan is the writer's persistent weighted cut plan (nil until the
-	// rebalancer publishes one): every publication re-applies it, so the
-	// weighted boundaries survive route churn between recuts. Writer-owned
-	// after installation via a ctl op.
-	cutPlan []ip.Addr
+	// inflight is bumped on entry to and exit from every Dispatch,
+	// DispatchBatch and ApplyBatch call, from every calling goroutine.
+	// The padding gives it a cache line of its own: sharing one with the
+	// snapshot pointer, worker table, config or closed flag that every
+	// call reads would turn each of those reads into a cache miss
+	// whenever another core has just dispatched.
+	_        [cacheLine - 8]byte
+	inflight atomic.Int64
+	_        [cacheLine - 8]byte
+
+	closed     atomic.Bool
+	closeOnce  sync.Once
+	writerDone chan struct{}
+	workersWG  sync.WaitGroup
 
 	// rb is the rebalancer's aggregate state (decayed traffic weights and
 	// carve scratch), guarded by rebalanceMu so the periodic loop and
@@ -226,11 +223,21 @@ type Runtime struct {
 	rebalanceStop chan struct{}
 	rebalanceWG   sync.WaitGroup
 
-	inflight   atomic.Int64
-	closed     atomic.Bool
-	closeOnce  sync.Once
-	writerDone chan struct{}
-	workersWG  sync.WaitGroup
+	// healthMu serialises worker state flips (setState).
+	healthMu sync.Mutex
+
+	// Writer-owned from here on. upd is the updater; arenas is the free
+	// pool of reclaimed arenas; retired the FIFO of replaced snapshots
+	// awaiting epoch safety.
+	upd     *onrtc.Updater
+	ws      writerScratch
+	arenas  []*arena
+	retired []retiredSnap
+	// cutPlan is the writer's persistent weighted cut plan (nil until the
+	// rebalancer publishes one): every publication re-applies it, so the
+	// weighted boundaries survive route churn between recuts. Installed
+	// via a ctl op.
+	cutPlan []ip.Addr
 }
 
 // New compresses routes, publishes snapshot version 1 and starts the
@@ -248,14 +255,9 @@ func New(routes []ip.Route, cfg Config) (*Runtime, error) {
 	}
 	upd := onrtc.BuildUpdater(trie.FromRoutes(routes))
 	base := upd.Table().Routes()
-	// Headroom on the sorted mirror keeps the insert fast path from
-	// reallocating for the first batches of an update storm.
-	table := make([]ip.Route, len(base), len(base)+len(base)/8+64)
-	copy(table, base)
 	r := &Runtime{
-		cfg:   cfg,
-		upd:   upd,
-		table: table,
+		cfg: cfg,
+		upd: upd,
 		ws: writerScratch{
 			batch:   make([]updateOp, 0, batchMax),
 			results: make([]ttf.TTF, 0, batchMax),
@@ -732,9 +734,8 @@ func maxInt64(a *atomic.Int64, v int64) {
 
 // writer is the single goroutine that owns the onrtc.Updater. It
 // coalesces queued ops into batches (up to batchMax), applies them to the
-// updater and the sorted mirror, swaps the snapshot and only then
-// completes the ops — so a completed op is by construction visible to
-// readers.
+// updater, swaps the snapshot and only then completes the ops — so a
+// completed op is by construction visible to readers.
 func (r *Runtime) writer() {
 	defer close(r.writerDone)
 	for op := range r.updates {
@@ -756,20 +757,18 @@ func (r *Runtime) writer() {
 	}
 }
 
-// applyBatch runs every record of one batch of ops through the updater
-// and publishes the resulting snapshot once. Control (rehome) ops
-// contribute no route change but force a publication; every publication
-// — ctl or not — recuts the partition bounds from the live worker health
-// states, so a batch racing a failure re-homes on its own. A batch that
-// changed nothing (and carried no ctl op) publishes no snapshot at all.
+// applyBatch runs every record of one batch of ops through the updater,
+// collecting their diff ops, and publishes the resulting snapshot once.
+// Control (rehome) ops contribute no route change but force a
+// publication; every publication — ctl or not — recuts the partition
+// bounds from the live worker health states, so a batch racing a failure
+// re-homes on its own. A batch whose net change is empty (and carried no
+// ctl op) publishes no snapshot at all.
 func (r *Runtime) applyBatch(batch []updateOp) {
 	start := time.Now()
 	results := r.ws.results[:0]
-	r.ws.insLast = r.ws.insLast[:0]
-	r.ws.delLast = r.ws.delLast[:0]
-	r.ws.hopPatches = r.ws.hopPatches[:0]
+	r.ws.ops = r.ws.ops[:0]
 	rehome := false
-	changed := false
 	ops := 0 // records plus ctl ops
 	for _, op := range batch {
 		if op.ctl {
@@ -801,31 +800,29 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 			r.m.ttf1Lat.record(0, int64(cost.Trie))
 			r.m.ttf2Lat.record(0, int64(cost.TCAM))
 			r.m.ttf3Lat.record(0, int64(cost.DRed))
-			if len(diff.Ops) > 0 {
-				changed = true
-			}
-			r.applyDiffToTable(diff.Ops)
+			r.ws.ops = append(r.ws.ops, diff.Ops...)
 		}
 		results = append(results, total)
 		ops += len(op.recs)
 	}
 	r.ws.results = results
+	prev := r.snap.Load()
+	n := r.fold(prev)
 	r.m.batches.Add(1)
 	r.m.batchOps.Add(int64(ops))
 	// Writer-owned peaks: plain store is fine, nobody else raises them.
 	if n := int64(ops); n > r.m.peakBatchOps.Load() {
 		r.m.peakBatchOps.Store(n)
 	}
-	if n := int64(len(r.table)); n > r.m.peakRoutes.Load() {
-		r.m.peakRoutes.Store(n)
+	if int64(n) > r.m.peakRoutes.Load() {
+		r.m.peakRoutes.Store(int64(n))
 	}
-	if !changed && !rehome {
-		// The batch made no structural or hop change to the compressed
-		// table (withdraw-of-absent, re-announce of an identical route)
-		// and requested no recut: publishing would memcpy
-		// the whole table and bump the version for a byte-identical
-		// snapshot. Complete the ops against the already-current snapshot
-		// instead.
+	if len(r.ws.net) == 0 && !rehome {
+		// The batch left the compressed table as it was (withdraw-of-absent,
+		// re-announce of an identical route, announce then withdraw) and
+		// requested no recut: publishing would copy the table and bump the
+		// version for a byte-identical snapshot. Complete the ops against
+		// the already-current snapshot instead.
 		r.m.noopBatches.Add(1)
 		r.m.swapNs.add(float64(time.Since(start).Nanoseconds()))
 		for i := range batch {
@@ -833,9 +830,7 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 		}
 		return
 	}
-	slices.Sort(r.ws.insLast)
-	slices.Sort(r.ws.delLast)
-	r.publish(r.snap.Load())
+	r.publish(prev, n)
 	if rehome {
 		r.m.rehomes.Add(1)
 		// Samples taken under the old cuts must not feed the next recut
@@ -852,40 +847,99 @@ func (r *Runtime) applyBatch(batch []updateOp) {
 	}
 }
 
-// publish builds and swaps in prev's successor. Three shapes, cheapest
-// first:
+// fold reduces the batch's diff ops to its net change against prev, the
+// snapshot the batch's first op was applied on top of. The ops are
+// stably sorted into table order — ops on one prefix keep their apply
+// order — and each prefix's run is replayed from its state in prev,
+// found by binary search: present with its hop, or absent. What the run
+// leaves behind is one insert, one delete, one hop change or nothing,
+// written to r.ws.net in table order. The inserts' and deletes' last
+// addresses land in r.ws.insLast/delLast, each ascending, since the
+// routes of either kind are disjoint. It returns the route count after
+// the batch.
+func (r *Runtime) fold(prev *Snapshot) int {
+	ops := r.ws.ops
+	slices.SortStableFunc(ops, func(a, b onrtc.Op) int { return a.Route.Prefix.Compare(b.Route.Prefix) })
+	net := r.ws.net[:0]
+	ins, del := r.ws.insLast[:0], r.ws.delLast[:0]
+	pos := 0
+	for i := 0; i < len(ops); {
+		p := ops[i].Route.Prefix
+		first, last := uint32(p.First()), uint32(p.Last())
+		// Table order is ip.Prefix.Compare order: by first address, then
+		// shorter prefix (later last address) first. The runs arrive in
+		// that order, so each search resumes where the previous one ended.
+		lo := pos
+		pos = lo + sort.Search(len(prev.rng)-lo, func(k int) bool {
+			e := prev.rng[lo+k]
+			return rngFirst(e) > first || rngFirst(e) == first && rngLast(e) <= last
+		})
+		was := pos < len(prev.rng) && prev.rng[pos] == packRange(p)
+		var wasHop uint32
+		if was {
+			wasHop = prev.hop[pos]
+		}
+		is, hop := was, wasHop
+		for ; i < len(ops) && ops[i].Route.Prefix == p; i++ {
+			if ops[i].Kind == onrtc.OpDelete {
+				is = false
+			} else {
+				is, hop = true, uint32(ops[i].Route.NextHop)
+			}
+		}
+		c := netChange{pos: pos, route: ip.Route{Prefix: p, NextHop: ip.NextHop(hop)}}
+		switch {
+		case is && !was:
+			c.kind = onrtc.OpInsert
+			ins = append(ins, p.Last())
+		case was && !is:
+			c.kind = onrtc.OpDelete
+			del = append(del, p.Last())
+		case is && hop != wasHop:
+			c.kind = onrtc.OpModify
+		default:
+			continue
+		}
+		net = append(net, c)
+	}
+	r.ws.net, r.ws.insLast, r.ws.delLast = net, ins, del
+	return len(prev.rng) + len(ins) - len(del)
+}
+
+// publish builds and swaps in prev's successor, a table of n routes,
+// from the batch's net change (fold). Two shapes:
 //
 //   - Hop-only batches (no inserts or deletes — the common case under a
-//     next-hop churn storm) patch the new hops into prev's arena with
-//     atomic stores and publish a snapshot shell sharing the arena and
-//     index outright: the table is never copied. Skipped once the arena
-//     escaped through Runtime.Snapshot(), whose holders were promised
-//     stable data.
-//   - Structural batches rebuild the struct-of-arrays slabs in a
-//     recycled (or fresh) arena from the writer's sorted mirror, then
-//     patch the previous index through the insert/delete cuts when the
+//     next-hop churn storm) patch the new hops into prev's arena at the
+//     positions fold found, with atomic stores, and publish a snapshot
+//     shell sharing the arena and index outright: the table is never
+//     copied. Skipped once the arena escaped through Runtime.Snapshot(),
+//     whose holders were promised stable data.
+//   - Every other batch takes a recycled (or fresh) arena and writes the
+//     next route slabs in one merge pass over prev's (mergeNet), then
+//     patches the previous index through the insert/delete cuts when the
 //     batch is small enough, rebuilding it otherwise.
 //
 // After the swap the writer advances the epoch clock, retires prev and
 // reclaims whatever retirees every reader has provably moved past.
-func (r *Runtime) publish(prev *Snapshot) {
+func (r *Runtime) publish(prev *Snapshot, n int) {
 	version := prev.Version + 1
 	structural := len(r.ws.insLast) + len(r.ws.delLast)
 	var next *Snapshot
 	switch {
 	case structural == 0 && !prev.ar.escaped.Load():
-		for _, p := range r.ws.hopPatches {
-			atomic.StoreUint32(&prev.ar.hop[p.pos], p.hop)
+		for _, c := range r.ws.net {
+			atomic.StoreUint32(&prev.ar.hop[c.pos], uint32(c.route.NextHop))
 		}
 		next = prev.clonePatched(version, r.cfg.Workers, r.downMask(), r.cutPlan)
 		r.m.inPlacePatches.Add(1)
 	default:
-		ar := r.takeArena(len(r.table))
-		rng, hop := ar.routeSlabs(len(r.table))
-		fillSlabs(rng, hop, r.table)
+		ar := r.takeArena(n)
+		rng, hop := ar.routeSlabs(n)
+		mergeNet(rng, hop, prev, r.ws.net)
 		next = shellOnArena(ar, version, r.cfg.Workers, r.downMask(), r.cutPlan)
 		if structural <= stridePatchMax {
-			next.index = patchIndexInto(ar, prev.index, rng, r.ws.insLast, r.ws.delLast, len(r.table))
+			next.index = patchIndexInto(ar, prev.index, rng, r.ws.insLast, r.ws.delLast, n)
 			r.m.indexPatches.Add(1)
 		} else {
 			next.index = buildIndexInto(ar, rng)
@@ -902,6 +956,30 @@ func (r *Runtime) publish(prev *Snapshot) {
 	epoch := r.ep.advance() - 1
 	r.retired = append(r.retired, retiredSnap{snap: prev, epoch: epoch})
 	r.reclaim()
+}
+
+// mergeNet writes prev's route slabs with the net changes applied into
+// rng and hop: the runs between changes are bulk copies, so the pass
+// costs one copy of the table whatever the batch. The writer is the only
+// goroutine that stores into prev's hops, so it reads them plainly.
+func mergeNet(rng []uint64, hop []uint32, prev *Snapshot, net []netChange) {
+	i, o := 0, 0
+	for _, c := range net {
+		k := c.pos - i
+		copy(rng[o:o+k], prev.rng[i:c.pos])
+		copy(hop[o:o+k], prev.hop[i:c.pos])
+		i, o = c.pos, o+k
+		if c.kind != onrtc.OpInsert {
+			i++ // prev's entry at pos is deleted or replaced
+		}
+		if c.kind != onrtc.OpDelete {
+			rng[o] = packRange(c.route.Prefix)
+			hop[o] = uint32(c.route.NextHop)
+			o++
+		}
+	}
+	copy(rng[o:], prev.rng[i:])
+	copy(hop[o:], prev.hop[i:])
 }
 
 // takeArena pops a pooled arena able to hold n routes (any pooled arena
@@ -954,102 +1032,6 @@ func (r *Runtime) reclaim() {
 	} else {
 		r.oldestEpoch.Store(0)
 	}
-}
-
-// applyDiffToTable replays compressed-table diff ops onto the writer's
-// sorted mirror. The slice stays sorted in trie inorder (ip.Prefix
-// Compare order) throughout, so each op is one binary search plus one
-// memmove — O(log M + M) with a tiny constant, versus the O(M) trie walk
-// and node-chasing a full re-export would cost per batch. A diff of
-// mergeMinOps or more ops — a short prefix announced over a fragmented
-// region rewrites thousands of compressed routes at once — is merged in
-// one pass instead (mergeDiffIntoTable). Structural changes (real
-// inserts and deletes) are recorded in the writer scratch for the
-// stride-index patch. The serve tests cross-check the mirror against
-// the updater's table after churn.
-func (r *Runtime) applyDiffToTable(ops []onrtc.Op) {
-	if len(ops) >= mergeMinOps {
-		r.mergeDiffIntoTable(ops)
-		return
-	}
-	for _, op := range ops {
-		p := op.Route.Prefix
-		i := sort.Search(len(r.table), func(i int) bool {
-			return r.table[i].Prefix.Compare(p) >= 0
-		})
-		exact := i < len(r.table) && r.table[i].Prefix == p
-		switch op.Kind {
-		case onrtc.OpInsert, onrtc.OpModify:
-			if exact {
-				r.table[i].NextHop = op.Route.NextHop
-				// Position i is the patch target if the whole batch turns out
-				// hop-only; any insert or delete invalidates the recorded
-				// positions and forces the structural publish path.
-				r.ws.hopPatches = append(r.ws.hopPatches, hopPatch{pos: int32(i), hop: uint32(op.Route.NextHop)})
-			} else {
-				r.table = append(r.table, ip.Route{})
-				copy(r.table[i+1:], r.table[i:])
-				r.table[i] = op.Route
-				r.ws.insLast = append(r.ws.insLast, p.Last())
-			}
-		case onrtc.OpDelete:
-			if exact {
-				r.table = append(r.table[:i], r.table[i+1:]...)
-				r.ws.delLast = append(r.ws.delLast, p.Last())
-			}
-		}
-	}
-}
-
-// mergeDiffIntoTable applies ops to the sorted mirror with the same
-// effect as applyDiffToTable's op-by-op loop, in one merge pass: the ops
-// are stably sorted into table order (ops on one prefix keep their
-// order) and the mirror is copied into the spare buffer with each op
-// applied at its position, then the buffers swap. Hop patches record
-// final positions, which is what the in-place publish needs when the
-// diff turns out to be hop-only.
-func (r *Runtime) mergeDiffIntoTable(ops []onrtc.Op) {
-	sorted := append(r.ws.mergeOps[:0], ops...)
-	slices.SortStableFunc(sorted, func(a, b onrtc.Op) int { return a.Route.Prefix.Compare(b.Route.Prefix) })
-	r.ws.mergeOps = sorted
-	t := r.table
-	out := r.ws.spare[:0]
-	if cap(out) < len(t)+len(ops) {
-		out = make([]ip.Route, 0, cap(t)+len(ops))
-	}
-	i := 0
-	for _, op := range sorted {
-		p := op.Route.Prefix
-		j := i + sort.Search(len(t)-i, func(k int) bool { return t[i+k].Prefix.Compare(p) >= 0 })
-		out = append(out, t[i:j]...)
-		i = j
-		if i < len(t) && t[i].Prefix == p {
-			out = append(out, t[i])
-			i++
-		}
-		// The route at p, if any, is now out's last element — from the
-		// table or from an earlier op of this diff on the same prefix.
-		last := len(out) - 1
-		present := last >= 0 && out[last].Prefix == p
-		switch op.Kind {
-		case onrtc.OpInsert, onrtc.OpModify:
-			if present {
-				out[last].NextHop = op.Route.NextHop
-				r.ws.hopPatches = append(r.ws.hopPatches, hopPatch{pos: int32(last), hop: uint32(op.Route.NextHop)})
-			} else {
-				out = append(out, op.Route)
-				r.ws.insLast = append(r.ws.insLast, p.Last())
-			}
-		case onrtc.OpDelete:
-			if present {
-				out = out[:last]
-				r.ws.delLast = append(r.ws.delLast, p.Last())
-			}
-		}
-	}
-	out = append(out, t[i:]...)
-	r.ws.spare = t[:0]
-	r.table = out
 }
 
 // downMask snapshots the worker health states into the writer's scratch

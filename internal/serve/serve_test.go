@@ -219,11 +219,11 @@ func TestApplyBatch(t *testing.T) {
 	expectExact("recover")
 }
 
-// TestWriterMergesLargeDiff drives diffs of mergeMinOps or more ops —
-// a hop-only rewrite of a fragmented /8, its withdrawal and its
-// re-announcement — through the writer's one-pass merge, which must
-// leave the mirror, the published snapshot and its digest exactly where
-// the op-by-op replay would.
+// TestWriterMergesLargeDiff drives diffs of hundreds of ops — a hop-only
+// rewrite of a fragmented /8, its withdrawal and its re-announcement —
+// through the writer's fold and merge-copy publication, which must leave
+// the published snapshot and its digest exactly where the updater's
+// table is.
 func TestWriterMergesLargeDiff(t *testing.T) {
 	base := []ip.Route{
 		{Prefix: ip.MustParsePrefix("10.0.0.0/8"), NextHop: 1},
@@ -256,8 +256,8 @@ func TestWriterMergesLargeDiff(t *testing.T) {
 		} else {
 			d = ref.Announce(step.rec.Prefix, step.rec.NextHop)
 		}
-		if len(d.Ops) < mergeMinOps {
-			t.Fatalf("%s: diff of %d ops does not reach the merge path (%d)", step.name, len(d.Ops), mergeMinOps)
+		if len(d.Ops) < 256 {
+			t.Fatalf("%s: diff of %d ops is not a large diff", step.name, len(d.Ops))
 		}
 		patches := rt.Stats().InPlacePatches
 		if _, err := rt.ApplyBatch([]ribio.UpdateRecord{step.rec}); err != nil {
@@ -266,32 +266,108 @@ func TestWriterMergesLargeDiff(t *testing.T) {
 		if inPlace := rt.Stats().InPlacePatches > patches; inPlace != step.hopsOnly {
 			t.Fatalf("%s: in-place publication %v, want %v", step.name, inPlace, step.hopsOnly)
 		}
-		expectRoutes := func(what string, got []ip.Route) {
-			t.Helper()
-			want := ref.Table().Routes()
-			if len(got) != len(want) {
-				t.Fatalf("%s: %s has %d routes, reference %d", step.name, what, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: %s[%d] = %v, reference %v", step.name, what, i, got[i], want[i])
-				}
+		checkPublished(t, step.name, rt, ref.Table())
+	}
+}
+
+// checkPublished holds the published snapshot to the table it must
+// equal: the same routes, the same digest, and an index that answers
+// like the binary-search reference at every route boundary and one
+// address either side of it. It reads the snapshot under an epoch pin,
+// not through Snapshot(), so the arena stays eligible for in-place
+// patches.
+func checkPublished(t *testing.T, what string, rt *Runtime, want *onrtc.Table) {
+	t.Helper()
+	slot := rt.ep.enter(rt.pinSeed.Add(1))
+	defer slot.exit()
+	s := rt.snap.Load()
+	got, routes := s.Routes(), want.Routes()
+	if len(got) != len(routes) {
+		t.Fatalf("%s: snapshot has %d routes, table %d", what, len(got), len(routes))
+	}
+	for i := range routes {
+		if got[i] != routes[i] {
+			t.Fatalf("%s: snapshot[%d] = %v, table %v", what, i, got[i], routes[i])
+		}
+	}
+	if s.CanonicalHash() != want.Digest() || onrtc.Digest(got) != want.Digest() {
+		t.Fatalf("%s: stamped digest %016x, routes %016x, table %016x", what, s.CanonicalHash(), onrtc.Digest(got), want.Digest())
+	}
+	for _, r := range routes {
+		f, l := r.Prefix.First(), r.Prefix.Last()
+		for _, a := range []ip.Addr{f - 1, f, f + 1, l - 1, l, l + 1} {
+			h1, p1, ok1 := s.Lookup(a)
+			h2, p2, ok2 := s.LookupBinary(a)
+			if h1 != h2 || p1 != p2 || ok1 != ok2 {
+				t.Fatalf("%s: Lookup(%v) = %d %v %v, LookupBinary %d %v %v", what, a, h1, p1, ok1, h2, p2, ok2)
 			}
 		}
-		expectRoutes("writer mirror", rt.table)
-		slot := rt.ep.enter(rt.pinSeed.Add(1))
-		expectRoutes("snapshot", rt.snap.Load().Routes())
-		slot.exit()
-		for _, r := range ref.Table().Routes() {
-			for _, a := range []ip.Addr{r.Prefix.First(), r.Prefix.Last()} {
-				if hop, _, _ := rt.Lookup(a); hop != r.NextHop {
-					t.Fatalf("%s: Lookup(%v) = %d, reference %d", step.name, a, hop, r.NextHop)
-				}
-			}
+	}
+}
+
+// TestBatchFoldsRepeatedPrefix drives multi-record batches that touch
+// one prefix several times, so the writer's per-prefix fold has to
+// replay a run of ops rather than one: whatever the run, the batch
+// publishes the updater's table exactly, publishes nothing when its net
+// change is empty, and patches in place exactly when the net change
+// rewrites hops only.
+func TestBatchFoldsRepeatedPrefix(t *testing.T) {
+	var base []ip.Route
+	// A fragmented 10/8 with no covering route, and a 20/8 whose /24s
+	// differ from it in hop.
+	for i := 0; i < 300; i++ {
+		base = append(base, ip.Route{Prefix: ip.MustPrefix(ip.Addr(10<<24|uint32(i%150)<<16|uint32(i/150*64+7)<<8), 24), NextHop: ip.NextHop(100 + i%7)})
+	}
+	base = append(base,
+		ip.Route{Prefix: ip.MustParsePrefix("20.0.0.0/8"), NextHop: 3},
+		ip.Route{Prefix: ip.MustParsePrefix("20.1.2.0/24"), NextHop: 4},
+		ip.Route{Prefix: ip.MustParsePrefix("30.0.0.0/16"), NextHop: 5},
+	)
+	rt, err := New(base, Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ann := func(p string, hop ip.NextHop) ribio.UpdateRecord {
+		return ribio.UpdateRecord{Prefix: ip.MustParsePrefix(p), NextHop: hop}
+	}
+	wd := func(p string) ribio.UpdateRecord {
+		return ribio.UpdateRecord{Withdraw: true, Prefix: ip.MustParsePrefix(p)}
+	}
+	const (
+		none = iota
+		hopOnly
+		structural
+	)
+	for _, tc := range []struct {
+		name string
+		recs []ribio.UpdateRecord
+		want int
+	}{
+		{"announce then withdraw", []ribio.UpdateRecord{ann("40.0.0.0/24", 9), wd("40.0.0.0/24")}, none},
+		{"withdraw then re-announce", []ribio.UpdateRecord{wd("30.0.0.0/16"), ann("30.0.0.0/16", 5)}, none},
+		{"withdraw then re-announce on a new hop", []ribio.UpdateRecord{wd("30.0.0.0/16"), ann("30.0.0.0/16", 6)}, hopOnly},
+		{"two re-hops", []ribio.UpdateRecord{ann("20.1.2.0/24", 7), ann("20.1.2.0/24", 8)}, hopOnly},
+		{"re-hop there and back", []ribio.UpdateRecord{ann("20.1.2.0/24", 2), ann("20.1.2.0/24", 8)}, none},
+		{"/8 over fragments, withdrawn", []ribio.UpdateRecord{ann("10.0.0.0/8", 1), wd("10.0.0.0/8")}, none},
+		{"/8 over fragments, kept", []ribio.UpdateRecord{ann("10.0.0.0/8", 1), ann("10.0.0.0/8", 2)}, structural},
+		{"/8 re-announced on a new hop", []ribio.UpdateRecord{wd("10.0.0.0/8"), ann("10.0.0.0/8", 6)}, hopOnly},
+		{"/8 withdrawn", []ribio.UpdateRecord{ann("10.0.0.0/8", 7), wd("10.0.0.0/8")}, structural},
+		{"split and re-merge a cover", []ribio.UpdateRecord{ann("20.9.0.0/16", 11), ann("20.9.0.0/16", 3)}, none},
+		{"split a cover twice", []ribio.UpdateRecord{ann("20.9.0.0/16", 11), ann("20.9.128.0/17", 12), wd("20.1.2.0/24")}, structural},
+		{"insert beside a re-hop", []ribio.UpdateRecord{ann("30.0.0.0/16", 9), ann("30.1.0.0/16", 9), ann("30.0.0.0/16", 4)}, structural},
+	} {
+		before := rt.Stats()
+		if _, err := rt.ApplyBatch(tc.recs); err != nil {
+			t.Fatal(err)
 		}
-		if stamped, want := publishedDigest(rt); stamped != want || want != ref.Table().Digest() {
-			t.Fatalf("%s: stamped digest %016x, routes %016x, reference %016x", step.name, stamped, want, ref.Table().Digest())
+		after := rt.Stats()
+		published := after.SnapshotVersion != before.SnapshotVersion
+		inPlace := after.InPlacePatches != before.InPlacePatches
+		if published != (tc.want != none) || inPlace != (tc.want == hopOnly) {
+			t.Errorf("%s: published %v, in place %v; want net change kind %d", tc.name, published, inPlace, tc.want)
 		}
+		checkPublished(t, tc.name, rt, rt.upd.Table())
 	}
 }
 

@@ -12,11 +12,14 @@
 //     of a handful of candidate routes, with no priority tie-break.
 //   - A single writer goroutine plays the control plane: it drains a
 //     bounded channel of announce/withdraw ops, applies them in batches
-//     through the ONRTC updater and atomically swaps in the next
-//     snapshot, pricing each op's diff as the paper's TTF1/TTF2/TTF3.
-//     Snapshot bulk data lives in per-snapshot arenas recycled through
-//     epoch-based reclamation (epoch.go), so steady-state publication
-//     allocates almost nothing.
+//     through the ONRTC updater, pricing each op's diff as the paper's
+//     TTF1/TTF2/TTF3, folds the batch's diffs into one net change per
+//     prefix and atomically swaps in the next snapshot: the previous
+//     one with its hops patched in place, or merge-copied with the
+//     change applied. The published snapshot is the writer's only copy
+//     of the compressed table. Snapshot bulk data lives in per-snapshot
+//     arenas recycled through epoch-based reclamation (epoch.go), so
+//     steady-state publication allocates almost nothing.
 //   - N partition worker goroutines mirror the N TCAM chips. The range
 //     index (Snapshot.Home) dispatches each lookup to its home worker
 //     over a bounded queue; a full queue diverts the lookup to the
